@@ -88,10 +88,13 @@ func digest(sorted []int64) Latency {
 }
 
 // SlowStage is one stage of a slow request's server-side breakdown:
-// a top-level span of the request trace.
+// a top-level span of the request trace. Result carries the span's
+// "result" attribute where it has one (raw_probe and cache_probe:
+// "hit" or "miss").
 type SlowStage struct {
-	Name  string `json:"name"`
-	DurUs int64  `json:"dur_us"`
+	Name   string `json:"name"`
+	DurUs  int64  `json:"dur_us"`
+	Result string `json:"result,omitempty"`
 }
 
 // SlowRequest is one entry of the -slowest report: the server's own
@@ -628,7 +631,7 @@ func fetchSlowest(client *http.Client, base string, n int) ([]SlowRequest, error
 			if sp.Parent != 0 {
 				continue // stages are the root's direct children
 			}
-			sr.Stages = append(sr.Stages, SlowStage{Name: sp.Name, DurUs: sp.DurNs / 1000})
+			sr.Stages = append(sr.Stages, SlowStage{Name: sp.Name, DurUs: sp.DurNs / 1000, Result: sp.Attr("result")})
 		}
 		out = append(out, sr)
 	}

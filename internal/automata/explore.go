@@ -2,7 +2,8 @@ package automata
 
 import (
 	"runtime"
-	"sync"
+
+	"segbus/internal/parallel"
 )
 
 // productOutcome is the result of one breadth-first product
@@ -98,10 +99,11 @@ func (s *System) exploreProduct(budget, workers int) productOutcome {
 }
 
 // expandLevel computes the expansion of every frontier state (given
-// by its encoded key), fanning the work out to workers when the level
-// is large enough. Workers write disjoint slots of the result slice,
-// so no locking is needed; dedup against the visited set happens in
-// the caller's deterministic in-order merge.
+// by its encoded key), fanning the work out to the work-stealing
+// scheduler when the level is large enough. Each expansion writes only
+// its own slot of the result slice, so no locking is needed; dedup
+// against the visited set happens in the caller's deterministic
+// in-order merge.
 func (s *System) expandLevel(keys []string, workers int) []expansion {
 	exps := make([]expansion, len(keys))
 	expand := func(fi int) {
@@ -117,26 +119,7 @@ func (s *System) expandLevel(keys []string, workers int) []expansion {
 		}
 		return exps
 	}
-	var wg sync.WaitGroup
-	chunk := (len(keys) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(keys) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(keys) {
-			hi = len(keys)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for fi := lo; fi < hi; fi++ {
-				expand(fi)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	parallel.StealRun(len(keys), parallel.StealOptions{Workers: workers}, expand)
 	return exps
 }
 

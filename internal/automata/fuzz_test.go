@@ -12,8 +12,9 @@ import (
 // FuzzProduct cross-checks the persistence reduction against the
 // exhaustive product exploration on arbitrary documents, seeded from
 // the conformance generator's model family. Wherever both conclude
-// within budget they must agree, and every deadlock verdict must ship
-// a trace that replays into a stuck state.
+// within budget they must agree, every deadlock verdict must ship a
+// trace that replays into a stuck state, and the product exploration
+// must reach the same verdict and state count on one worker and four.
 func FuzzProduct(f *testing.F) {
 	gen := conform.NewGenerator(1, nil)
 	for i := 0; i < 12; i++ {
@@ -39,6 +40,15 @@ func FuzzProduct(f *testing.F) {
 			if !stuck {
 				t.Fatalf("counterexample replays to a live state:\n%s", automata.FormatTrace(res.Trace))
 			}
+		}
+
+		// The generator seeds reach frontier levels wide enough for the
+		// parallel level expansion; it must not change the outcome.
+		serialVerdict, serialStates := sys.ExploreProduct(budget, 1)
+		parVerdict, parStates := sys.ExploreProduct(budget, 4)
+		if serialVerdict != parVerdict || serialStates != parStates {
+			t.Fatalf("serial product %v/%d states, 4 workers %v/%d states",
+				serialVerdict, serialStates, parVerdict, parStates)
 		}
 
 		terminated, exhausted, _ := sys.RunReduced(budget)

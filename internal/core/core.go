@@ -231,7 +231,8 @@ type Ranked struct {
 	Err       error
 }
 
-// Explore estimates every candidate configuration concurrently and
+// Explore estimates every candidate configuration concurrently (on
+// the work-stealing runner with pooled machines, parallel.Run) and
 // returns the outcomes in candidate order together with a rendered
 // ranking table of the successful ones (fastest first). workers <= 0
 // selects one worker per CPU.

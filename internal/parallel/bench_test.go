@@ -5,7 +5,8 @@ import (
 	"testing"
 )
 
-// BenchmarkPoolSerial is the single-worker baseline for the sweep.
+// BenchmarkPoolSerial is the single-worker baseline for the sweep:
+// Run on one worker, over pooled machines.
 func BenchmarkPoolSerial(b *testing.B) {
 	js := jobsBench()
 	for i := 0; i < b.N; i++ {

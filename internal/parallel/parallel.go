@@ -9,20 +9,25 @@
 // the estimation technique profits from it: evaluating many candidate
 // platform configurations at once during design-space exploration.
 //
-// The worker pool preserves job order in its results regardless of
-// completion order, keeps going after individual job failures (each
-// result carries its own error), and honours context-free cancellation
-// through an explicit Stop channel so a caller can abandon a sweep
-// early (e.g. once a good-enough configuration is found).
+// The package has two schedulers, one per kind of work:
+//
+//   - StealRun, a deterministic work stealer for index-parallel batch
+//     work. Run executes emulation jobs on it with machines checked out
+//     of an emulator pool; it preserves job order in its results
+//     regardless of completion order, and keeps going after individual
+//     job failures (each result carries its own error, a panicking job
+//     included). core.Explore and the sweeps use Run; the explorer and
+//     the automata's level expansion call StealRun directly.
+//   - Pool, the admission scheduler for serving: bounded in-flight
+//     work with a fail-fast queue and cancellable waits.
 package parallel
 
 import (
-	"context"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"segbus/internal/emulator"
+	"segbus/internal/emulator/pool"
 	"segbus/internal/platform"
 	"segbus/internal/psdf"
 )
@@ -46,88 +51,52 @@ type Result struct {
 	Err    error
 }
 
-// Options tunes a pool run.
+// Options tunes a Run.
 type Options struct {
 	// Workers is the number of concurrent emulations; zero selects
 	// GOMAXPROCS.
 	Workers int
 
+	// Seed drives the work-stealing schedule (see StealOptions.Seed);
+	// the results do not depend on it.
+	Seed int64
+
 	// Progress, when non-nil, is invoked after each completed job
 	// (from worker goroutines; the callback must be safe for
 	// concurrent use).
 	Progress func(Result)
-
-	// Stop, when non-nil and closed, prevents un-started jobs from
-	// running; their results carry ErrStopped.
-	Stop <-chan struct{}
-
-	// Context, when non-nil, cancels the run the same way Stop does,
-	// but with the caller's cancellation cause: jobs not yet started
-	// when the context is done are skipped and their results carry
-	// context.Cause. A worker slot occupied by a cancelled batch is
-	// therefore freed as soon as its current job finishes instead of
-	// grinding through the remaining queue.
-	Context context.Context
 }
 
-// ErrStopped marks jobs skipped because the pool was stopped early.
-var ErrStopped = fmt.Errorf("parallel: pool stopped before the job ran")
-
-// Run executes the jobs on a worker pool and returns one result per
-// job, in submission order. Individual failures do not abort the run.
+// Run executes the jobs on the work-stealing scheduler and returns one
+// result per job, in submission order. Individual failures do not
+// abort the run. Every emulation runs on a machine checked out of a
+// pool private to the call, so jobs sharing a platform shape reuse
+// warm arenas instead of constructing machines, and stragglers
+// rebalance instead of serialising the tail.
 func Run(jobs []Job, opts Options) []Result {
-	n := opts.Workers
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n > len(jobs) {
-		n = len(jobs)
-	}
 	results := make([]Result, len(jobs))
 	if len(jobs) == 0 {
 		return results
 	}
-
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i] = runOne(i, jobs[i], opts.Stop, opts.Context)
-				if opts.Progress != nil {
-					opts.Progress(results[i])
-				}
-			}
-		}()
+	w := opts.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
 	}
-	for i := range jobs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	machines := pool.New(pool.Options{PerKey: w})
+	StealRun(len(jobs), StealOptions{Workers: opts.Workers, Seed: opts.Seed}, func(i int) {
+		results[i] = runOne(i, jobs[i], machines)
+		if opts.Progress != nil {
+			opts.Progress(results[i])
+		}
+	})
 	return results
 }
 
-func runOne(i int, j Job, stop <-chan struct{}, ctx context.Context) (r Result) {
+// runOne runs one job on a pooled machine. A panicking run does not
+// return its machine — Reset is total, but a machine whose run tore a
+// hole in the stack is not worth salvaging.
+func runOne(i int, j Job, machines *pool.Pool) (r Result) {
 	r = Result{Index: i, Label: j.Label}
-	if stop != nil {
-		select {
-		case <-stop:
-			r.Err = ErrStopped
-			return r
-		default:
-		}
-	}
-	if ctx != nil {
-		select {
-		case <-ctx.Done():
-			r.Err = context.Cause(ctx)
-			return r
-		default:
-		}
-	}
 	// The named result lets the recovery overwrite what the panicking
 	// call left behind.
 	defer func() {
@@ -136,33 +105,9 @@ func runOne(i int, j Job, stop <-chan struct{}, ctx context.Context) (r Result) 
 			r.Report = nil
 		}
 	}()
-	r.Report, r.Err = emulator.Run(j.Model, j.Platform, j.Config)
+	key := pool.ShapeKey(j.Model, j.Platform)
+	mc, _ := machines.Get(key)
+	r.Report, r.Err = mc.Run(j.Model, j.Platform, j.Config)
+	machines.Put(key, mc)
 	return r
-}
-
-// SweepPackageSizes builds one job per package size for the same
-// model and base platform (the platform is cloned per job with the
-// package size substituted).
-func SweepPackageSizes(label string, m *psdf.Model, base *platform.Platform, sizes []int, cfg emulator.Config) []Job {
-	jobs := make([]Job, 0, len(sizes))
-	for _, s := range sizes {
-		p := base.Clone()
-		p.PackageSize = s
-		jobs = append(jobs, Job{
-			Label:    fmt.Sprintf("%s/s=%d", label, s),
-			Model:    m,
-			Platform: p,
-			Config:   cfg,
-		})
-	}
-	return jobs
-}
-
-// SweepPlatforms builds one job per candidate platform.
-func SweepPlatforms(m *psdf.Model, candidates []*platform.Platform, cfg emulator.Config) []Job {
-	jobs := make([]Job, 0, len(candidates))
-	for _, p := range candidates {
-		jobs = append(jobs, Job{Label: p.Name, Model: m, Platform: p, Config: cfg})
-	}
-	return jobs
 }

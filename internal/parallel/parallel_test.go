@@ -1,15 +1,12 @@
 package parallel
 
 import (
-	"errors"
 	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"segbus/internal/apps"
-	"segbus/internal/emulator"
-	"segbus/internal/platform"
 	"segbus/internal/psdf"
 )
 
@@ -96,17 +93,6 @@ func TestRunProgressCallback(t *testing.T) {
 	}
 }
 
-func TestRunStop(t *testing.T) {
-	stop := make(chan struct{})
-	close(stop)
-	results := Run(jobs(5), Options{Workers: 2, Stop: stop})
-	for i, r := range results {
-		if !errors.Is(r.Err, ErrStopped) {
-			t.Errorf("job %d ran despite stop: %v", i, r.Err)
-		}
-	}
-}
-
 func TestRunEmpty(t *testing.T) {
 	if got := Run(nil, Options{}); len(got) != 0 {
 		t.Errorf("empty run = %v", got)
@@ -116,50 +102,6 @@ func TestRunEmpty(t *testing.T) {
 func TestRunDefaultWorkers(t *testing.T) {
 	results := Run(jobs(2), Options{}) // Workers: 0 selects GOMAXPROCS
 	for _, r := range results {
-		if r.Err != nil {
-			t.Error(r.Err)
-		}
-	}
-}
-
-func TestSweepPackageSizes(t *testing.T) {
-	m := apps.MP3Model()
-	base := apps.MP3Platform3(36)
-	js := SweepPackageSizes("mp3", m, base, []int{18, 36, 72}, emulator.Config{})
-	if len(js) != 3 {
-		t.Fatalf("%d jobs", len(js))
-	}
-	if js[0].Platform.PackageSize != 18 || js[2].Platform.PackageSize != 72 {
-		t.Error("package sizes not applied")
-	}
-	if base.PackageSize != 36 {
-		t.Error("base platform mutated")
-	}
-	if js[0].Label != "mp3/s=18" {
-		t.Errorf("label = %q", js[0].Label)
-	}
-	results := Run(js, Options{Workers: 3})
-	for _, r := range results {
-		if r.Err != nil {
-			t.Error(r.Err)
-		}
-	}
-}
-
-func TestSweepPlatforms(t *testing.T) {
-	m := apps.MP3Model()
-	if got := SweepPlatforms(m, nil, emulator.Config{}); len(got) != 0 {
-		t.Error("nil candidates produced jobs")
-	}
-	cands := []*platform.Platform{apps.MP3Platform1(36), apps.MP3Platform2(36), apps.MP3Platform3(36)}
-	js := SweepPlatforms(m, cands, emulator.Config{})
-	if len(js) != 3 {
-		t.Fatalf("%d jobs", len(js))
-	}
-	if js[1].Label != "SBP-2seg" {
-		t.Errorf("label = %q", js[1].Label)
-	}
-	for _, r := range Run(js, Options{Workers: 3}) {
 		if r.Err != nil {
 			t.Error(r.Err)
 		}

@@ -2,14 +2,14 @@ package parallel
 
 // Deterministic work stealing.
 //
-// The channel-fed pool in Run hands jobs to whichever worker asks
-// first — fine when every job costs about the same, wasteful when a
-// design-space wave mixes 50 µs candidates with 5 ms ones: the cheap
-// jobs drain early and their workers idle behind one straggler's
-// backlog. StealRun instead deals the index range into per-worker
-// deques up front and lets an idle worker steal the *back half* of a
-// victim's deque, so load balances to the actual cost distribution
-// without a shared queue in the hot path.
+// A static split of the index range is fine when every task costs
+// about the same, wasteful when a design-space wave mixes 50 µs
+// candidates with 5 ms ones: the cheap shares drain early and their
+// workers idle behind one straggler's backlog. StealRun instead deals
+// the index range into per-worker deques up front and lets an idle
+// worker steal the *back half* of a victim's deque, so load balances
+// to the actual cost distribution without a shared queue in the hot
+// path.
 //
 // Determinism contract: the schedule (who runs what, in what order)
 // varies with the worker count and the steal seed, but every task

@@ -47,7 +47,7 @@ type Options struct {
 	Workers int
 
 	// Seed drives the work-stealing schedule (see
-	// parallel.StealOptions.Seed); the curve itself is schedule
+	// parallel.Options.Seed); the curve itself is schedule
 	// independent.
 	Seed int64
 }
@@ -70,7 +70,7 @@ func run(m *psdf.Model, variants []*platform.Platform, values []int64, param str
 	for i, p := range variants {
 		jobs[i] = parallel.Job{Label: fmt.Sprintf("%s=%d", param, values[i]), Model: m, Platform: p}
 	}
-	popts := parallel.Options{}
+	popts := parallel.Options{Workers: o.Workers, Seed: o.Seed}
 	if o.Heartbeat != nil {
 		var done, failed atomic.Int64
 		popts.Progress = func(r parallel.Result) {
@@ -80,7 +80,7 @@ func run(m *psdf.Model, variants []*platform.Platform, values []int64, param str
 			o.Heartbeat.Tick(int(done.Add(1)), int(failed.Load()))
 		}
 	}
-	results := parallel.RunPooled(jobs, popts, parallel.StealOptions{Workers: o.Workers, Seed: o.Seed}, nil)
+	results := parallel.Run(jobs, popts)
 	c := Curve{Param: param, Points: make([]Point, len(values))}
 	failures := 0
 	for i, r := range results {

@@ -38,9 +38,10 @@ done
 # extra race-enabled rounds in fresh processes.
 go test -race -count=2 ./internal/engine
 
-# The exact reachability explorer expands frontier levels in parallel;
-# give its suite (deadlock gallery, reduced-vs-product cross-check)
-# extra race-enabled rounds in fresh processes too.
+# The exact reachability explorer expands wide frontier levels on the
+# work-stealing scheduler; give its suite (deadlock gallery,
+# reduced-vs-product and one-vs-four-worker cross-checks) extra
+# race-enabled rounds in fresh processes too.
 go test -race -count=2 ./internal/automata
 
 # Metrics golden diff: segbus-emu -metrics-json over the MP3 scenario
