@@ -249,7 +249,7 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 	})
 
 	// Stage 2: waves of prune-then-emulate on pooled machines.
-	machines := pool.New(pool.Options{PerKey: poolSizeFor(opts.Workers)})
+	machines := pool.New(pool.Options{PerKey: opts.Workers})
 	var emulateNs, powerNs atomic.Int64
 	var emulatedIdx []int
 	var arch archive
@@ -351,15 +351,6 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 	metrics.StagePower.Set(float64(res.Timing.Power))
 	opts.Heartbeat.Final(int(done.Load()), int(failed.Load()))
 	return res, nil
-}
-
-// poolSizeFor sizes the machine pool's per-shape free list to the
-// effective worker count.
-func poolSizeFor(workers int) int {
-	if workers > 0 {
-		return workers
-	}
-	return 0 // pool default
 }
 
 // paretoFront returns the indices of the non-dominated emulated

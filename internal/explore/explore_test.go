@@ -375,9 +375,9 @@ func TestHeartbeatTicksPerEmulation(t *testing.T) {
 	}
 }
 
-// TestWorkerSpeedup measures the parallel scaling the ISSUE's bench
-// battery records. It needs real cores to mean anything, so it skips
-// on the 1-2 CPU boxes the unit suite usually runs on.
+// TestWorkerSpeedup measures the explorer's parallel scaling. It
+// needs real cores to mean anything, so it skips on the 1-2 CPU boxes
+// the unit suite usually runs on.
 func TestWorkerSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("speedup measurement skipped in -short")

@@ -2,10 +2,10 @@ package explore
 
 // ReferenceMP3Space is the benchmark configuration space for the
 // paper's MP3 decoder: 10240 candidates spanning every axis the
-// explorer prunes on. It is the space BENCH's explore battery, the
-// check.sh determinism smoke and the ISSUE acceptance numbers all
-// refer to; don't reshape it casually — the recorded pruning ratios
-// are only comparable across runs of the same space.
+// explorer prunes on. It is the space the repository benchmark's
+// explore_mp3 workload and the committed BENCH_10.json record refer
+// to; don't reshape it casually — the recorded pruning ratios are only
+// comparable across runs of the same space.
 //
 // 4 segment counts × 2 mappings × 10 package sizes × 16 header costs
 // × 8 CA hop costs = 10240.

@@ -24,34 +24,31 @@ func TestTracingOverheadSmoke(t *testing.T) {
 	psdfXML, psmXML := goldenSchemes(t)
 	b := body(t, EstimateRequest{PSDF: psdfXML, PSM: psmXML})
 
-	run := func(sample int) time.Duration {
-		s := New(Config{Workers: 2, Queue: 4, CacheEntries: 8, TraceSample: sample})
-		h := s.Handler()
-		if rec := post(h, b); rec.Code != http.StatusOK {
+	// Arm 0 has tracing disabled, arm 1 traces with head sampling
+	// off. The arms alternate request by request, and the one that
+	// goes first swaps every round, so a load spike or a frequency
+	// change lands on both; each arm keeps its best.
+	var arms [2]http.Handler
+	for i, sample := range []int{-1, 0} {
+		arms[i] = New(Config{Workers: 2, Queue: 4, CacheEntries: 8, TraceSample: sample}).Handler()
+		if rec := post(arms[i], b); rec.Code != http.StatusOK {
 			t.Fatalf("warmup status %d: %s", rec.Code, rec.Body.String())
 		}
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < 400; i++ {
+	}
+	best := [2]time.Duration{1<<63 - 1, 1<<63 - 1}
+	for round := 0; round < 800; round++ {
+		for k := 0; k < 2; k++ {
+			arm := (round + k) % 2
 			start := time.Now()
-			if rec := post(h, b); rec.Code != http.StatusOK {
+			if rec := post(arms[arm], b); rec.Code != http.StatusOK {
 				t.Fatalf("status %d", rec.Code)
 			}
-			if d := time.Since(start); d < best {
-				best = d
+			if d := time.Since(start); d < best[arm] {
+				best[arm] = d
 			}
 		}
-		return best
 	}
-
-	// Interleave the arms so a load spike hits both; keep each arm's
-	// best.
-	off, on := run(-1), run(0)
-	if off2 := run(-1); off2 < off {
-		off = off2
-	}
-	if on2 := run(0); on2 < on {
-		on = on2
-	}
+	off, on := best[0], best[1]
 	limit := off + off/20 + 25*time.Microsecond
 	if on > limit {
 		t.Errorf("unsampled traced path min %v exceeds disabled-tracing min %v + 5%% + 25µs (%v)", on, off, limit)

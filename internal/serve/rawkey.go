@@ -85,8 +85,9 @@ func (rh *rawHasher) requestKey(req *EstimateRequest) []byte {
 // when an identical request has been served before: the response
 // bytes, ready to write verbatim. The probe allocates nothing in
 // steady state — it is the first thing the /estimate handler tries
-// after decoding, and the serving benchmark's cache_hit_bytes
-// measurement. Exposed for tests and the load harness.
+// after decoding, and every request of the repository benchmark's
+// serve_warm workload stops here. Exposed for tests and the load
+// harness.
 func (s *Server) RawProbe(req *EstimateRequest) ([]byte, bool) {
 	if s.rawIndex == nil {
 		return nil, false

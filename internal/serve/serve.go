@@ -214,7 +214,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		cache:    NewShardedCache(cfg.CacheEntries, cfg.CacheShards, cfg.Registry),
-		machines: newMachinePool(metrics),
+		machines: pool.New(pool.Options{Hits: metrics.PoolHits, Misses: metrics.PoolMisses, Discards: metrics.PoolDiscards}),
 		flights:  newFlightGroup(),
 		pool:     parallel.NewPool(cfg.Workers, cfg.Queue),
 		metrics:  metrics,
@@ -591,7 +591,7 @@ func (s *Server) emulate(ctx context.Context, tr *reqtrace.Trace, parent reqtrac
 	}
 	err := s.pool.SubmitObserved(ctx, observe, func() {
 		sp := tr.Child(parent, "pool_checkout")
-		shape := shapeKey(pr.m, pr.plat)
+		shape := pool.ShapeKey(pr.m, pr.plat)
 		mc, warm := s.machines.Get(shape)
 		if tr != nil {
 			if warm {
