@@ -3,90 +3,34 @@ package engine
 import "testing"
 
 // TestSteadyStateAllocs pins the kernel's zero-allocation guarantee:
-// once the heap and the slot pool have grown to the workload's
-// high-water mark, a self-rescheduling event chain runs without a
-// single heap allocation per dispatched event.
+// once the heap has grown to the workload's high-water mark, a
+// self-rescheduling event chain runs without a single heap allocation
+// per dispatched event.
 func TestSteadyStateAllocs(t *testing.T) {
 	s := NewSim()
+	left := 0
 	var h Handler
-	h = func(now Time) { s.After(7, 0, h) }
-	s.At(0, 0, h)
-	if _, err := s.RunUntil(1_000); err != nil {
-		t.Fatal(err)
+	h = func(now Time) {
+		if left > 0 {
+			left--
+			s.At(now+7, 0, h)
+		}
 	}
 	var err error
-	allocs := testing.AllocsPerRun(100, func() {
-		_, err = s.RunUntil(s.Now() + 700)
-	})
+	chain := func() {
+		left = 100
+		s.At(s.Now(), 0, h)
+		_, err = s.Run()
+	}
+	chain() // warm the heap
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, chain)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if allocs != 0 {
-		t.Errorf("steady-state After+dispatch allocates %v per window, want 0", allocs)
-	}
-}
-
-// TestCancelHeavyAllocs: cancellation is a generation bump, not an
-// allocation — a workload that schedules a burst, cancels half of it
-// and dispatches the rest stays allocation-free once warm.
-func TestCancelHeavyAllocs(t *testing.T) {
-	s := NewSim()
-	noop := Handler(func(Time) {})
-	ids := make([]EventID, 0, 64)
-	var err error
-	step := func() {
-		now := s.Now()
-		for i := 0; i < 64; i++ {
-			ids = append(ids, s.At(now+Time(1+i%17), i%3, noop))
-		}
-		for i, id := range ids {
-			if i%2 == 0 {
-				s.Cancel(id)
-			}
-		}
-		ids = ids[:0]
-		_, err = s.RunUntil(now + 20)
-	}
-	step() // warm the pool, the heap and the ids buffer
-	if err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, step)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if allocs != 0 {
-		t.Errorf("cancel-heavy workload allocates %v per round, want 0", allocs)
-	}
-	if s.Pending() != 0 {
-		t.Errorf("pending = %d after drain", s.Pending())
-	}
-}
-
-// TestStaleCancelDoesNotHitReusedSlot: an EventID kept across its
-// event's firing must not cancel the unrelated event that later
-// reuses the same pool slot — the generation check makes the stale
-// cancel a no-op.
-func TestStaleCancelDoesNotHitReusedSlot(t *testing.T) {
-	s := NewSim()
-	stale := s.At(10, 0, func(Time) {})
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	fired := false
-	fresh := s.At(20, 0, func(Time) { fired = true }) // reuses the freed slot
-	s.Cancel(stale)
-	if s.Pending() != 1 {
-		t.Fatalf("stale cancel removed a live event (pending = %d)", s.Pending())
-	}
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !fired {
-		t.Error("event on a reused slot did not fire after a stale cancel")
-	}
-	s.Cancel(fresh) // fired already: no-op
-	if s.Pending() != 0 {
-		t.Errorf("pending = %d", s.Pending())
+		t.Errorf("steady-state At+dispatch allocates %v per chain, want 0", allocs)
 	}
 }

@@ -11,7 +11,7 @@ func BenchmarkEventThroughput(b *testing.B) {
 	next = func(now Time) {
 		count++
 		if count < b.N {
-			s.After(10, 0, next)
+			s.At(now+10, 0, next)
 		}
 	}
 	b.ResetTimer()

@@ -3,8 +3,8 @@ package engine
 import "testing"
 
 // record drives a deterministic little workload — staggered schedules
-// across three priorities, a couple of cancellations, one in-handler
-// reschedule — and returns the dispatch trace as (time, tag) pairs.
+// across three priorities, one in-handler reschedule — and returns the
+// dispatch trace as (time, tag) pairs.
 func record(s *Sim) ([]Time, []int, error) {
 	var times []Time
 	var tags []int
@@ -16,12 +16,11 @@ func record(s *Sim) ([]Time, []int, error) {
 	}
 	s.At(5, 1, note(1))
 	s.At(5, 0, note(2))
-	dead := s.At(7, 0, note(3))
+	s.At(7, 0, note(3))
 	s.At(9, 2, func(now Time) {
 		note(4)(now)
-		s.After(3, 0, note(5))
+		s.At(now+3, 0, note(5))
 	})
-	s.Cancel(dead)
 	_, err := s.Run()
 	return times, tags, err
 }
@@ -43,9 +42,8 @@ func TestResetReplaysFresh(t *testing.T) {
 	}
 	for round := 0; round < 3; round++ {
 		s.Reset()
-		if s.Now() != 0 || s.Pending() != 0 || s.Steps() != 0 {
-			t.Fatalf("round %d: Reset left now=%v pending=%d steps=%d",
-				round, s.Now(), s.Pending(), s.Steps())
+		if s.Now() != 0 || s.Steps() != 0 {
+			t.Fatalf("round %d: Reset left now=%v steps=%d", round, s.Now(), s.Steps())
 		}
 		times, tags, err := record(s)
 		if err != nil {
@@ -60,33 +58,6 @@ func TestResetReplaysFresh(t *testing.T) {
 					round, i, times[i], tags[i], wantTimes[i], wantTags[i])
 			}
 		}
-	}
-}
-
-// TestResetInvalidatesStaleIDs: an EventID issued before a Reset must
-// not cancel the event that lands on the same slot afterwards.
-func TestResetInvalidatesStaleIDs(t *testing.T) {
-	s := NewSim()
-	var stale []EventID
-	for i := 0; i < 8; i++ {
-		stale = append(stale, s.At(Time(10+i), 0, func(Time) {}))
-	}
-	s.Reset()
-	fired := 0
-	for i := 0; i < 8; i++ {
-		s.At(Time(10+i), 0, func(Time) { fired++ })
-	}
-	for _, id := range stale {
-		s.Cancel(id)
-	}
-	if s.Pending() != 8 {
-		t.Fatalf("stale cancels removed live events (pending = %d)", s.Pending())
-	}
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 8 {
-		t.Errorf("fired %d of 8 events scheduled after Reset", fired)
 	}
 }
 
@@ -108,9 +79,9 @@ func TestResetMidQueue(t *testing.T) {
 	}
 }
 
-// TestResetAllocs pins the arena-reuse guarantee: once the heap and the
-// slot pool have grown to the workload's high-water mark, a
-// Reset-schedule-drain cycle performs zero heap allocations.
+// TestResetAllocs pins the arena-reuse guarantee: once the heap has
+// grown to the workload's high-water mark, a Reset-schedule-drain
+// cycle performs zero heap allocations.
 func TestResetAllocs(t *testing.T) {
 	s := NewSim()
 	noop := Handler(func(Time) {})
@@ -122,7 +93,7 @@ func TestResetAllocs(t *testing.T) {
 		}
 		_, err = s.Run()
 	}
-	cycle() // warm the heap and the pool
+	cycle() // warm the heap
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,20 +70,14 @@ type CacheShardStats struct {
 	Evictions int64 `json:"evictions"`
 }
 
-// NewCache returns an unsharded cache holding at most max entries —
-// one shard, exact global LRU. max <= 0 disables caching: every Get
-// misses and Put discards.
-func NewCache(max int) *Cache {
-	return NewShardedCache(max, 1, nil)
-}
-
 // NewShardedCache returns a cache holding at most max entries spread
 // over the given number of shards (rounded up to a power of two,
 // capped at 256; <= 0 selects the default of 8). Every shard holds at
 // least one entry, so the effective bound is max(entries, shards).
-// reg, when non-nil, receives the per-shard hit/miss/eviction
-// counters of the server catalogue; nil disables the mirroring but
-// keeps the local tallies.
+// One shard gives an exact global LRU; max <= 0 disables caching:
+// every Get misses and Put discards. reg, when non-nil, receives the
+// per-shard hit/miss/eviction counters of the server catalogue; nil
+// disables the mirroring but keeps the local tallies.
 func NewShardedCache(max, shards int, reg *obs.Registry) *Cache {
 	if max <= 0 {
 		return &Cache{max: 0}

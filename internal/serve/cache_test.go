@@ -13,7 +13,7 @@ import (
 )
 
 func TestCacheBasics(t *testing.T) {
-	c := NewCache(2)
+	c := NewShardedCache(2, 1, nil)
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("empty cache hit")
 	}
@@ -45,7 +45,7 @@ func TestCacheBasics(t *testing.T) {
 }
 
 func TestCacheDisabled(t *testing.T) {
-	for _, c := range []*Cache{NewCache(0), nil} {
+	for _, c := range []*Cache{NewShardedCache(0, 1, nil), nil} {
 		c.Put("a", []byte("A"))
 		if _, ok := c.Get("a"); ok {
 			t.Fatal("disabled cache hit")
@@ -60,7 +60,7 @@ func TestCacheDisabled(t *testing.T) {
 // the race detector: the run is only meaningful with -race, which the
 // tier-1 loop applies.
 func TestCacheConcurrent(t *testing.T) {
-	c := NewCache(8) // much smaller than the key space: constant eviction
+	c := NewShardedCache(8, 1, nil) // much smaller than the key space: constant eviction
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -96,7 +96,7 @@ func TestCacheHitIsByteIdenticalToColdRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCache(4)
+	c := NewShardedCache(4, 1, nil)
 	c.Put(key, cold)
 	hit, ok := c.Get(key)
 	if !ok {
@@ -144,7 +144,7 @@ func BenchmarkCacheHit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := NewCache(4)
+	c := NewShardedCache(4, 1, nil)
 	c.Put(key, body)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -212,7 +212,7 @@ func TestCacheShardSizing(t *testing.T) {
 		max, shards, wantShards int
 	}{
 		{64, 0, 8},      // default
-		{64, 1, 1},      // NewCache compatibility
+		{64, 1, 1},      // unsharded: exact global LRU
 		{64, 3, 4},      // round up to power of two
 		{64, 8, 8},      //
 		{64, 9, 16},     //

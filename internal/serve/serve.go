@@ -14,8 +14,9 @@
 //     and concurrent probes for different keys rarely share a lock —
 //     fronted by a raw-request index that recognises a verbatim
 //     repeat of an already-served request before any parsing work,
-//     and backed by a machine pool that reuses warm emulator arenas
-//     across cold runs (see pool.go and rawkey.go);
+//     and backed by a machine pool (internal/emulator/pool) that
+//     reuses warm emulator arenas across cold runs (see cache.go and
+//     rawkey.go);
 //   - single-flight coalescing (flightGroup): K identical in-flight
 //     requests — batch items included — trigger exactly one
 //     emulation, with every waiter sharing the leader's

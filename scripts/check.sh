@@ -25,7 +25,7 @@ go test -shuffle=on -count=1 ./...
 go test -bench=. -benchtime=1x -run '^$' ./...
 
 # The event kernel is the hottest shared state in the tree; give its
-# suite (dispatch-order replay, alloc regression, pending bookkeeping)
+# suite (dispatch-order replay, alloc regression, brute-force order oracle)
 # extra race-enabled rounds in fresh processes.
 go test -race -count=2 ./internal/engine
 
