@@ -15,9 +15,11 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 
 	"segbus/internal/analyze"
 	"segbus/internal/emulator"
+	"segbus/internal/emulator/pool"
 	"segbus/internal/m2t"
 	"segbus/internal/obs"
 	"segbus/internal/parallel"
@@ -231,23 +233,27 @@ type Ranked struct {
 	Err       error
 }
 
-// Explore estimates every candidate configuration concurrently (on
-// the work-stealing runner with pooled machines, parallel.Run) and
-// returns the outcomes in candidate order together with a rendered
-// ranking table of the successful ones (fastest first). workers <= 0
-// selects one worker per CPU.
+// Explore estimates every candidate configuration concurrently (one
+// parallel.StealRun task per candidate, each emulating through a
+// warm-machine pool.Run) and returns the outcomes in candidate order
+// together with a rendered ranking table of the successful ones
+// (fastest first). A failing or panicking candidate carries its own
+// error and costs its siblings nothing. workers <= 0 selects one
+// worker per CPU.
 func Explore(m *psdf.Model, candidates []Candidate, workers int) ([]Ranked, string) {
-	jobs := make([]parallel.Job, len(candidates))
-	for i, c := range candidates {
-		jobs[i] = parallel.Job{Label: c.Label, Model: m, Platform: c.Platform}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	results := parallel.Run(jobs, parallel.Options{Workers: workers})
+	machines := pool.New(pool.Options{PerKey: workers})
 	out := make([]Ranked, len(candidates))
+	parallel.StealRun(len(candidates), parallel.StealOptions{Workers: workers}, func(i int) {
+		out[i].Candidate = candidates[i]
+		out[i].Report, out[i].Err = machines.Run(m, candidates[i].Platform, emulator.Config{})
+	})
 	var rows []stats.ConfigResult
-	for i, r := range results {
-		out[i] = Ranked{Candidate: candidates[i], Report: r.Report, Err: r.Err}
+	for _, r := range out {
 		if r.Err == nil {
-			rows = append(rows, stats.RowFromReport(r.Label, r.Report))
+			rows = append(rows, stats.RowFromReport(r.Candidate.Label, r.Report))
 		}
 	}
 	return out, stats.RankTable(rows)

@@ -258,6 +258,7 @@ func TestExploreIsolatesFailures(t *testing.T) {
 	ranked, table := Explore(m, []Candidate{
 		{Label: "bad", Platform: broken},
 		{Label: "good", Platform: apps.MP3Platform3(36)},
+		{Label: "nil", Platform: nil}, // the emulation panics
 	}, 2)
 	if ranked[0].Err == nil {
 		t.Error("broken candidate reported success")
@@ -265,7 +266,13 @@ func TestExploreIsolatesFailures(t *testing.T) {
 	if ranked[1].Err != nil {
 		t.Errorf("healthy candidate failed: %v", ranked[1].Err)
 	}
-	if !strings.Contains(table, "good") || strings.Contains(table, "bad ") {
+	if ranked[2].Err == nil || ranked[2].Report != nil {
+		t.Errorf("panicking candidate = %+v, want an error and no report", ranked[2])
+	}
+	if ranked[2].Candidate.Label != "nil" {
+		t.Errorf("panicking candidate lost its label: %q", ranked[2].Candidate.Label)
+	}
+	if !strings.Contains(table, "good") || strings.Contains(table, "bad ") || strings.Contains(table, "nil") {
 		t.Errorf("table should rank only successes:\n%s", table)
 	}
 	best, err := Best(ranked)

@@ -23,9 +23,16 @@
 // checkout is a slice pop and the pool never stores a dirty machine —
 // a run that failed, deadlocked or hit its step limit returns through
 // the same Reset as a clean one.
+//
+// Run is the batch path: core.Explore, the sweeps and the design-space
+// explorer call it once per candidate, so how a batch borrows a warm
+// machine and what a panic costs is decided here alone. Get and Put
+// stay for callers that account each checkout themselves (the serving
+// stack's per-request trace records whether it was warm).
 package pool
 
 import (
+	"fmt"
 	"strconv"
 	"sync"
 
@@ -150,6 +157,26 @@ func (p *Pool) Put(key string, mc *emulator.Machine) {
 	}
 	p.free[key] = append(ms, mc)
 	p.mu.Unlock()
+}
+
+// Run emulates one (model, platform) pair on a machine checked out for
+// its shape and returns the machine afterwards. A panicking run comes
+// back as an error with a nil report, and its machine is dropped rather
+// than returned: Reset is total, but a machine whose run tore a hole
+// in the stack is not worth salvaging.
+func (p *Pool) Run(m *psdf.Model, plat *platform.Platform, cfg emulator.Config) (rep *emulator.Report, err error) {
+	// The named results let the recovery overwrite what the panicking
+	// call left behind.
+	defer func() {
+		if r := recover(); r != nil {
+			rep, err = nil, fmt.Errorf("pool: emulation panicked: %v", r)
+		}
+	}()
+	key := ShapeKey(m, plat)
+	mc, _ := p.Get(key)
+	rep, err = mc.Run(m, plat, cfg)
+	p.Put(key, mc)
+	return rep, err
 }
 
 // Stats returns the pool's current occupancy (shapes binned, machines

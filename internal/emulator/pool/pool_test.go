@@ -1,17 +1,23 @@
 package pool
 
 // Contract tests for the extracted machine pool: checkout accounting
-// with raw counter handles, nil-safe metrics, default bounds and the
-// shape-budget discard path. The serving-layer behavior (byte
-// identity under concurrency, reconciliation against emulations) stays
-// pinned by internal/serve's pool tests.
+// with raw counter handles, nil-safe metrics, default bounds, the
+// shape-budget discard path, and Run's batch policy (byte identity
+// with a fresh machine, panics turned into errors, panicked machines
+// dropped). The serving-layer behavior (byte identity under
+// concurrency, reconciliation against emulations) stays pinned by
+// internal/serve's pool tests.
 
 import (
+	"bytes"
+	"encoding/json"
 	"sync"
 	"testing"
 
 	"segbus/internal/apps"
+	"segbus/internal/emulator"
 	"segbus/internal/obs"
+	"segbus/internal/platform"
 )
 
 func TestDefaults(t *testing.T) {
@@ -102,5 +108,100 @@ func TestConcurrentCheckout(t *testing.T) {
 	shapes, _ := p.Stats()
 	if shapes > 8 {
 		t.Errorf("shape budget exceeded: %d", shapes)
+	}
+}
+
+// TestRunPooledMatchesRun pins Run's pooled reports byte-identical to
+// a fresh-machine emulator.Run over mixed shapes visited twice (so the
+// second pass runs warm), including an invalid platform whose error
+// text must come back unchanged.
+func TestRunPooledMatchesRun(t *testing.T) {
+	m := apps.MP3Model()
+	var plats []*platform.Platform
+	for _, size := range []int{36, 18, 12} {
+		plats = append(plats, apps.MP3Platform3(size), apps.MP3Platform2(size))
+	}
+	bad := apps.MP3Platform3(36)
+	bad.PackageSize = -5 // rejected by validation
+	plats = append(plats, bad)
+
+	p := New(Options{})
+	for pass := 0; pass < 2; pass++ {
+		for i, plat := range plats {
+			want, wantErr := emulator.Run(m, plat, emulator.Config{})
+			got, err := p.Run(m, plat, emulator.Config{})
+			if (wantErr == nil) != (err == nil) {
+				t.Fatalf("pass %d platform %d: err %v vs %v", pass, i, wantErr, err)
+			}
+			if wantErr != nil {
+				if wantErr.Error() != err.Error() {
+					t.Errorf("pass %d platform %d: error drifted: %v vs %v", pass, i, wantErr, err)
+				}
+				continue
+			}
+			wj, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gj, err := json.Marshal(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(wj, gj) {
+				t.Errorf("pass %d platform %d: pooled report differs from fresh", pass, i)
+			}
+		}
+	}
+	if _, err := p.Run(m, bad, emulator.Config{}); err == nil {
+		t.Error("invalid platform reported success")
+	}
+}
+
+// panicObserver panics on the first emulation event it sees.
+type panicObserver struct{}
+
+func (panicObserver) StageStarted(int, int64)               { panic("observer boom") }
+func (panicObserver) TransferGranted(int, int64)            {}
+func (panicObserver) PackageDelivered(int, int, int, int64) {}
+
+// TestRunRecoversPanics checks a panicking run costs exactly its own
+// result and machine: a nil platform and a run whose observer panics
+// mid-emulation both come back as an error with a nil report, the
+// panicked machine is dropped instead of returned, and the next valid
+// Run on the same pool succeeds.
+func TestRunRecoversPanics(t *testing.T) {
+	m := apps.MP3Model()
+	plat := apps.MP3Platform3(36)
+	p := New(Options{})
+
+	if rep, err := p.Run(m, nil, emulator.Config{}); err == nil || rep != nil {
+		t.Fatalf("nil platform: report %v, err %v; want nil report and an error", rep, err)
+	}
+	if shapes, machines := p.Stats(); shapes != 0 || machines != 0 {
+		t.Fatalf("after nil-platform panic Stats() = (%d, %d), want (0, 0)", shapes, machines)
+	}
+
+	// Warm the shape's bin with one machine, then panic a run that
+	// checks that machine out: it must not come back.
+	if _, err := p.Run(m, plat, emulator.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, machines := p.Stats(); machines != 1 {
+		t.Fatalf("after a clean run Stats() machines = %d, want 1", machines)
+	}
+	rep, err := p.Run(m, plat, emulator.Config{Observer: panicObserver{}})
+	if err == nil || rep != nil {
+		t.Fatalf("panicking observer: report %v, err %v; want nil report and an error", rep, err)
+	}
+	if _, machines := p.Stats(); machines != 0 {
+		t.Fatalf("panicked machine returned to the pool: Stats() machines = %d, want 0", machines)
+	}
+
+	rep, err = p.Run(m, plat, emulator.Config{})
+	if err != nil || rep == nil {
+		t.Fatalf("run after a panic: report %v, err %v", rep, err)
+	}
+	if _, machines := p.Stats(); machines != 1 {
+		t.Errorf("after recovery Stats() machines = %d, want 1", machines)
 	}
 }

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -39,10 +40,6 @@ type Options struct {
 	// NoPrune disables bounds pruning: every candidate is emulated.
 	// The soundness tests diff pruned runs against this mode.
 	NoPrune bool
-
-	// Params are the energy coefficients (zero selects
-	// power.DefaultParams). Pruning and estimation use the same set.
-	Params power.Params
 
 	// Registry, when non-nil, receives the obs.ExploreMetrics
 	// catalogue.
@@ -204,7 +201,13 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 	}
 
 	res := &Result{Space: sp, Generated: len(cands), Points: make([]Point, len(cands))}
-	steal := parallel.StealOptions{Workers: opts.Workers, Seed: opts.Seed}
+	// One resolved worker count sizes both the scheduler and the
+	// machine pool, so every worker's machine survives between waves.
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	steal := parallel.StealOptions{Workers: workers, Seed: opts.Seed}
 
 	// Stage 1: analytic bounds, embarrassingly parallel and pure.
 	var boundsNs atomic.Int64
@@ -217,7 +220,10 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 			pt.Err = fmt.Errorf("bounds: %w", err)
 			return
 		}
-		pf, err := power.NewProfile(m, cands[i].Platform, opts.Params)
+		// power.Params{} selects power.DefaultParams, here and in
+		// the estimate below: pruning and estimation price with the
+		// same coefficients.
+		pf, err := power.NewProfile(m, cands[i].Platform, power.Params{})
 		if err != nil {
 			pt.Err = fmt.Errorf("power profile: %w", err)
 			return
@@ -249,7 +255,7 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 	})
 
 	// Stage 2: waves of prune-then-emulate on pooled machines.
-	machines := pool.New(pool.Options{PerKey: opts.Workers})
+	machines := pool.New(pool.Options{PerKey: workers})
 	var emulateNs, powerNs atomic.Int64
 	var emulatedIdx []int
 	var arch archive
@@ -282,10 +288,7 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 			i := wave[k]
 			pt := &res.Points[i]
 			start := time.Now()
-			key := pool.ShapeKey(m, pt.Platform)
-			mc, _ := machines.Get(key)
-			report, err := mc.Run(m, pt.Platform, emulator.Config{})
-			machines.Put(key, mc)
+			report, err := machines.Run(m, pt.Platform, emulator.Config{})
 			pt.Stage.Emulate = time.Since(start).Nanoseconds()
 			emulateNs.Add(pt.Stage.Emulate)
 			if err != nil {
@@ -295,7 +298,7 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 				return
 			}
 			start = time.Now()
-			est, err := power.Estimate(m, pt.Platform, report, opts.Params)
+			est, err := power.Estimate(m, pt.Platform, report, power.Params{})
 			pt.Stage.Power = time.Since(start).Nanoseconds()
 			powerNs.Add(pt.Stage.Power)
 			if err != nil {

@@ -3,6 +3,7 @@ package explore
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -377,7 +378,10 @@ func TestHeartbeatTicksPerEmulation(t *testing.T) {
 
 // TestWorkerSpeedup measures the explorer's parallel scaling. It
 // needs real cores to mean anything, so it skips on the 1-2 CPU boxes
-// the unit suite usually runs on.
+// the unit suite usually runs on. The serial and 8-worker arms
+// alternate in one loop, swapping which goes first each round, and
+// the minimum of each arm is compared, so a burst of load from
+// elsewhere on the machine slows both arms instead of one.
 func TestWorkerSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("speedup measurement skipped in -short")
@@ -395,10 +399,24 @@ func TestWorkerSpeedup(t *testing.T) {
 		}
 		return time.Since(start)
 	}
-	serial := measure(1)
-	wide := measure(8)
+	const rounds = 3
+	serial, wide := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for r := 0; r < rounds; r++ {
+		arms := []int{1, 8}
+		if r%2 == 1 {
+			arms = []int{8, 1}
+		}
+		for _, w := range arms {
+			d := measure(w)
+			if w == 1 {
+				serial = min(serial, d)
+			} else {
+				wide = min(wide, d)
+			}
+		}
+	}
 	if speedup := float64(serial) / float64(wide); speedup < 3 {
-		t.Errorf("8-worker speedup %.2fx below the 3x floor (serial %s, 8w %s)", speedup, serial, wide)
+		t.Errorf("8-worker speedup %.2fx below the 3x floor (min of %d rounds: serial %s, 8w %s)", speedup, rounds, serial, wide)
 	}
 }
 

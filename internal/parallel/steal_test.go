@@ -2,21 +2,13 @@ package parallel
 
 // Work-stealing scheduler contract: every index runs exactly once for
 // any worker count, results merged by index are identical across
-// worker counts, stealing actually happens under a skewed cost
-// distribution, and Run's pooled results are byte-equivalent to a
-// sequential emulator.Run of each job.
+// worker counts, and stealing actually happens under a skewed cost
+// distribution.
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"segbus/internal/apps"
-	"segbus/internal/emulator"
-	"segbus/internal/platform"
 )
 
 func TestStealRunExactlyOnce(t *testing.T) {
@@ -99,54 +91,5 @@ func TestStealDeque(t *testing.T) {
 	d2 := &stealDeque{}
 	if got := d2.stealHead(); got != nil {
 		t.Fatalf("stealHead of empty deque = %v, want nil", got)
-	}
-}
-
-// TestRunPooledMatchesRun pins Run's pooled results byte-identical to
-// a sequential fresh-machine emulator.Run of each job on a
-// mixed-shape job list, including an invalid job whose error must
-// survive in place.
-func TestRunPooledMatchesRun(t *testing.T) {
-	m := apps.MP3Model()
-	var jobs []Job
-	for _, size := range []int{36, 18, 12} {
-		for _, p := range []*platform.Platform{apps.MP3Platform3(size), apps.MP3Platform2(size)} {
-			jobs = append(jobs, Job{Label: fmt.Sprintf("%s/s=%d", p.Name, size), Model: m, Platform: p})
-		}
-	}
-	// An infeasible job: package size rejected by validation.
-	bad := apps.MP3Platform3(36)
-	bad.PackageSize = -5
-	jobs = append(jobs, Job{Label: "bad", Model: m, Platform: bad})
-
-	got := Run(jobs, Options{Workers: 3, Seed: 9})
-	if len(got) != len(jobs) {
-		t.Fatalf("result count %d != %d", len(got), len(jobs))
-	}
-	for i, j := range jobs {
-		want, wantErr := emulator.Run(j.Model, j.Platform, j.Config)
-		if (wantErr == nil) != (got[i].Err == nil) {
-			t.Fatalf("job %d (%s): err %v vs %v", i, j.Label, wantErr, got[i].Err)
-		}
-		if wantErr != nil {
-			if wantErr.Error() != got[i].Err.Error() {
-				t.Errorf("job %d error drifted: %v vs %v", i, wantErr, got[i].Err)
-			}
-			continue
-		}
-		wj, err := json.Marshal(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gj, err := json.Marshal(got[i].Report)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(wj, gj) {
-			t.Errorf("job %d (%s): pooled report differs from fresh", i, j.Label)
-		}
-	}
-	if got[len(jobs)-1].Err == nil {
-		t.Error("invalid job reported success")
 	}
 }

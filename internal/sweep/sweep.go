@@ -12,9 +12,12 @@ package sweep
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 
+	"segbus/internal/emulator"
+	"segbus/internal/emulator/pool"
 	"segbus/internal/obs"
 	"segbus/internal/parallel"
 	"segbus/internal/platform"
@@ -47,7 +50,7 @@ type Options struct {
 	Workers int
 
 	// Seed drives the work-stealing schedule (see
-	// parallel.Options.Seed); the curve itself is schedule
+	// parallel.StealOptions.Seed); the curve itself is schedule
 	// independent.
 	Seed int64
 }
@@ -60,38 +63,34 @@ func first(opts []Options) Options {
 	return Options{}
 }
 
-// run evaluates the variants concurrently in submission order, on the
-// work-stealing scheduler with pooled machines: every variant of one
-// curve shares a platform shape, so after the first sample each
-// worker's emulations run on a warm arena, and a straggler (small
-// package sizes cost the most) no longer serialises the tail.
+// run evaluates the variants concurrently, one parallel.StealRun task
+// per point writing its own slot of the curve, each emulating through
+// pool.Run: every variant of one curve shares a platform shape, so
+// after the first sample each worker's emulations run on a warm arena,
+// and a straggler (small package sizes cost the most) no longer
+// serialises the tail. A failing or panicking sample carries its own
+// error; the others still run.
 func run(m *psdf.Model, variants []*platform.Platform, values []int64, param string, o Options) Curve {
-	jobs := make([]parallel.Job, len(variants))
-	for i, p := range variants {
-		jobs[i] = parallel.Job{Label: fmt.Sprintf("%s=%d", param, values[i]), Model: m, Platform: p}
+	workers := o.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	popts := parallel.Options{Workers: o.Workers, Seed: o.Seed}
-	if o.Heartbeat != nil {
-		var done, failed atomic.Int64
-		popts.Progress = func(r parallel.Result) {
-			if r.Err != nil {
-				failed.Add(1)
-			}
-			o.Heartbeat.Tick(int(done.Add(1)), int(failed.Load()))
-		}
-	}
-	results := parallel.Run(jobs, popts)
+	machines := pool.New(pool.Options{PerKey: workers})
 	c := Curve{Param: param, Points: make([]Point, len(values))}
-	failures := 0
-	for i, r := range results {
-		c.Points[i] = Point{Value: values[i], Err: r.Err}
-		if r.Err == nil {
-			c.Points[i].ExecPs = int64(r.Report.ExecutionTimePs)
+	var done, failed atomic.Int64
+	parallel.StealRun(len(variants), parallel.StealOptions{Workers: workers, Seed: o.Seed}, func(i int) {
+		pt := &c.Points[i]
+		pt.Value = values[i]
+		rep, err := machines.Run(m, variants[i], emulator.Config{})
+		if err != nil {
+			pt.Err = err
+			failed.Add(1)
 		} else {
-			failures++
+			pt.ExecPs = int64(rep.ExecutionTimePs)
 		}
-	}
-	o.Heartbeat.Final(len(results), failures)
+		o.Heartbeat.Tick(int(done.Add(1)), int(failed.Load()))
+	})
+	o.Heartbeat.Final(len(c.Points), int(failed.Load()))
 	return c
 }
 

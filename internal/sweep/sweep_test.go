@@ -109,6 +109,36 @@ func TestCurveRenderings(t *testing.T) {
 	}
 }
 
+// TestCurveIndependentOfWorkers pins the determinism contract: one
+// worker and eight workers under another steal seed give identical
+// curves, point for point, a failing point included, and the failure
+// stays in its own slot.
+func TestCurveIndependentOfWorkers(t *testing.T) {
+	m := apps.MP3Model()
+	sizes := []int{9, 18, 0, 36, 72, 144, 12, 24} // 0 fails validation
+	serial := PackageSizes(m, apps.MP3Platform3(36), sizes, Options{Workers: 1})
+	wide := PackageSizes(m, apps.MP3Platform3(36), sizes, Options{Workers: 8, Seed: 13})
+	if len(serial.Points) != len(sizes) || len(wide.Points) != len(sizes) {
+		t.Fatalf("points = %d / %d, want %d", len(serial.Points), len(wide.Points), len(sizes))
+	}
+	for i := range sizes {
+		a, b := serial.Points[i], wide.Points[i]
+		if a.Value != int64(sizes[i]) || b.Value != int64(sizes[i]) {
+			t.Errorf("point %d: values %d / %d, want %d", i, a.Value, b.Value, sizes[i])
+		}
+		if (a.Err == nil) != (sizes[i] != 0) {
+			t.Errorf("point %d (size %d): err = %v", i, sizes[i], a.Err)
+		}
+		if a.ExecPs != b.ExecPs || (a.Err == nil) != (b.Err == nil) ||
+			(a.Err != nil && a.Err.Error() != b.Err.Error()) {
+			t.Errorf("point %d: workers=1 gave (%d, %v), workers=8 gave (%d, %v)", i, a.ExecPs, a.Err, b.ExecPs, b.Err)
+		}
+	}
+	if serial.CSV() != wide.CSV() || serial.Table() != wide.Table() {
+		t.Errorf("renderings differ:\n%s\nvs\n%s", serial.Table(), wide.Table())
+	}
+}
+
 func TestSweepHeartbeat(t *testing.T) {
 	var buf syncBuffer
 	hb := obs.NewHeartbeat(&buf, "sample", time.Nanosecond, 3)
@@ -128,8 +158,8 @@ func TestSweepHeartbeat(t *testing.T) {
 	PackageSizes(apps.MP3Model(), apps.MP3Platform3(36), []int{36})
 }
 
-// syncBuffer is a strings.Builder safe for the concurrent Progress
-// callbacks of the worker pool.
+// syncBuffer is a strings.Builder safe for the heartbeat's concurrent
+// writes from the sweep's workers.
 type syncBuffer struct {
 	mu sync.Mutex
 	b  strings.Builder

@@ -125,10 +125,24 @@ diff -u <(grep -v '^wrote ' "$explore_dir/a/stdout") \
 	<(grep -v '^wrote ' "$explore_dir/b/stdout")
 diff -u "$explore_dir/a/report.json" "$explore_dir/b/report.json"
 
-# The work-stealing scheduler and the explorer's wave loop hand deques
-# and pooled machines between goroutines; give both suites extra
-# race-enabled rounds in fresh processes.
-go test -race -count=2 ./internal/parallel
+# Sweep determinism smoke, the same contract for segbus-sweep: the
+# curve's table and CSV at -workers 1 and at -workers 8 -seed 13 must
+# be byte-identical.
+go run ./cmd/segbus-sweep -model testdata/mp3.sbd -param package-size \
+	-values 9,18,36,72,144 -workers 1 \
+	-csv "$explore_dir/a/curve.csv" >"$explore_dir/a/sweep"
+go run ./cmd/segbus-sweep -model testdata/mp3.sbd -param package-size \
+	-values 9,18,36,72,144 -workers 8 -seed 13 \
+	-csv "$explore_dir/b/curve.csv" >"$explore_dir/b/sweep"
+diff -u <(grep -v '^wrote ' "$explore_dir/a/sweep") \
+	<(grep -v '^wrote ' "$explore_dir/b/sweep")
+diff -u "$explore_dir/a/curve.csv" "$explore_dir/b/curve.csv"
+
+# The work-stealing scheduler, pool.Run (its panic path included) and
+# the explorer's wave loop hand deques and pooled machines between
+# goroutines; give their suites extra race-enabled rounds in fresh
+# processes.
+go test -race -count=2 ./internal/parallel ./internal/emulator/pool
 go test -race -short -count=2 ./internal/explore
 
 # Warm-mix differential: a single-client, single-request run that is
