@@ -56,7 +56,7 @@ func run(args []string, stdout io.Writer) error {
 	noPrune := fs.Bool("no-prune", false, "disable bounds pruning and emulate every candidate")
 	jsonPath := fs.String("json", "", "write the full deterministic JSON report to this file")
 	csvPath := fs.String("csv", "", "write the Pareto front as CSV to this file")
-	timings := fs.Bool("timings", false, "print per-stage wall-clock totals to stderr")
+	timings := fs.Bool("timings", false, "print per-stage busy-time totals (summed over workers) to stderr")
 	heartbeat := fs.Duration("heartbeat", 0, "print a progress line to stderr at this interval (0: off)")
 	pf := profflag.Register(fs)
 	if err := fs.Parse(args); err != nil {

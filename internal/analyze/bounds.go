@@ -134,8 +134,11 @@ func ComputeBounds(m *psdf.Model, plat *platform.Platform) (*Bounds, error) {
 
 // BoundsQuery answers repeated bounds queries over one model — the
 // design-space explorer's seam. A space fixes the application and
-// varies the platform, so the model-side validation is paid once here
-// and each candidate pays only the platform-dependent work.
+// varies the platform. The model is validated once, here, per query;
+// Affine validates a platform and prices its bounds as integer
+// coefficients in HeaderTicks and CAHopTicks, once per group of
+// platforms that differ only in those two fields; each candidate of
+// the group then costs one AffineBounds.At.
 type BoundsQuery struct {
 	m *psdf.Model
 }
@@ -149,9 +152,72 @@ func NewBoundsQuery(m *psdf.Model) (*BoundsQuery, error) {
 }
 
 // Bounds computes the static figures of the query's model on one
-// candidate platform. Safe for concurrent use: the handle is
-// read-only after construction, so explorer workers share one.
+// candidate platform: its Affine form evaluated at the platform's
+// own ticks. Safe for concurrent use: the handle is read-only after
+// construction, so explorer workers share one.
 func (q *BoundsQuery) Bounds(plat *platform.Platform) (*Bounds, error) {
+	a, err := q.Affine(plat)
+	if err != nil {
+		return nil, err
+	}
+	return a.bounds(plat.HeaderTicks, plat.CAHopTicks), nil
+}
+
+// affine is the integer form c0 + ch·HeaderTicks + cca·CAHopTicks.
+type affine struct{ c0, ch, cca int64 }
+
+func (a affine) plus(b affine) affine {
+	return affine{a.c0 + b.c0, a.ch + b.ch, a.cca + b.cca}
+}
+
+func (a affine) at(header, caHop int64) int64 {
+	return a.c0 + a.ch*header + a.cca*caHop
+}
+
+// segmentTerm is one segment's bus occupancy: ticks (affine in the
+// header ticks only) at the segment's clock period.
+type segmentTerm struct {
+	index  int
+	ticks  affine
+	period int64
+}
+
+// AffineBounds is the static bounds of one (model, platform) pair as
+// functions of the platform's HeaderTicks and CAHopTicks. Every term
+// of the bounds is an integer product linear in the two tick counts
+// — a header costs its ticks on every transaction, a CA set-up its
+// ticks on every hop — so the coefficients are summed once and the
+// ticks substituted before any max is taken: At(h, ca) is exactly the
+// Bounds of the same platform with HeaderTicks h and CAHopTicks ca
+// (two's-complement sums and products are a ring, so the identity
+// holds even where a term would overflow). Read-only after
+// construction, so safe for concurrent use.
+type AffineBounds struct {
+	packageSize   int
+	totalPackages int
+
+	// chains holds, per stage in ascending order, each source
+	// process's serial emission chain; their order within a stage
+	// is irrelevant, as only their max is taken.
+	chains   [][]affine
+	segments []segmentTerm // plat.Segments order
+	// upper is the full-serialisation work with the end-detection
+	// allowance folded into its constant.
+	upper affine
+	// caHops counts hops over all packages: CASetupTicks is
+	// caHops·CAHopTicks.
+	caHops    int64
+	crossings []BUCrossing
+}
+
+// Affine validates the platform and the mapping and runs the
+// coefficient pass: the per-flow, per-package loop of the estimation
+// timing model, accumulating each figure as an affine term in the
+// platform's HeaderTicks and CAHopTicks. Past validation, which
+// rejects negative ticks, the platform's own tick values are never
+// read, so one pass serves every platform that differs from plat only
+// in those two (non-negative) fields.
+func (q *BoundsQuery) Affine(plat *platform.Platform) (*AffineBounds, error) {
 	m := q.m
 	if err := plat.Validate(); err != nil {
 		return nil, fmt.Errorf("analyze: bounds need a valid platform: %w", err)
@@ -162,10 +228,11 @@ func (q *BoundsQuery) Bounds(plat *platform.Platform) (*Bounds, error) {
 
 	s := plat.PackageSize
 	nominal := m.NominalPackageSize()
-	header := int64(plat.HeaderTicks)
 	caPeriod := plat.CAClock.PeriodPs()
 
-	periods := make(map[int]int64, len(plat.Segments))
+	// Validate guarantees segment i carries Index i+1, so both
+	// slices are indexed by segment index.
+	periods := make([]int64, len(plat.Segments)+1)
 	maxPeriod := caPeriod
 	for _, seg := range plat.Segments {
 		periods[seg.Index] = seg.Clock.PeriodPs()
@@ -174,8 +241,8 @@ func (q *BoundsQuery) Bounds(plat *platform.Platform) (*Bounds, error) {
 		}
 	}
 
-	b := &Bounds{PackageSize: s}
-	segTicks := make(map[int]int64, len(plat.Segments))
+	a := &AffineBounds{packageSize: s}
+	segTicks := make([]affine, len(plat.Segments)+1)
 	// Every border unit gets an entry, so fully idle BUs still show
 	// up as the cold side of an imbalance.
 	crossing := make(map[string]*BUCrossing)
@@ -210,15 +277,12 @@ func (q *BoundsQuery) Bounds(plat *platform.Platform) (*Bounds, error) {
 
 	// Serial per-process emission chains, per stage.
 	var orders []int
-	seenOrder := make(map[int]bool)
-	chains := make(map[int]map[psdf.ProcessID]int64)
+	chains := make(map[int]map[psdf.ProcessID]affine)
 
-	var upperWork int64
 	for _, f := range m.Flows() {
-		if !seenOrder[f.Order] {
-			seenOrder[f.Order] = true
+		if chains[f.Order] == nil {
 			orders = append(orders, f.Order)
-			chains[f.Order] = make(map[psdf.ProcessID]int64)
+			chains[f.Order] = make(map[psdf.ProcessID]affine)
 		}
 		srcSeg := plat.SegmentOf(f.Source)
 		dstSeg := srcSeg
@@ -228,7 +292,7 @@ func (q *BoundsQuery) Bounds(plat *platform.Platform) (*Bounds, error) {
 		route, rightward := plat.Route(srcSeg, dstSeg)
 		hops := int64(len(route))
 		pk := f.Packages(s)
-		b.TotalPackages += pk
+		a.totalPackages += pk
 
 		for _, bu := range route {
 			c := crossing[bu.Name()]
@@ -239,16 +303,19 @@ func (q *BoundsQuery) Bounds(plat *platform.Platform) (*Bounds, error) {
 			}
 		}
 
+		var chain affine
 		for pkg := 1; pkg <= pk; pkg++ {
 			items := itemsIn(f, pkg)
+			// A transaction moves header + items ticks.
+			tx := affine{c0: items, ch: 1}
 			srcPeriod := periods[srcSeg]
 			// FU processing plus the source-segment transaction (an
 			// intra-segment transfer or the fill into the first BU).
-			latency := compute(f, pkg)*srcPeriod + (header+items)*srcPeriod
-			segTicks[srcSeg] += header + items
+			latency := affine{c0: (compute(f, pkg) + items) * srcPeriod, ch: srcPeriod}
+			segTicks[srcSeg] = segTicks[srcSeg].plus(tx)
 			// CA circuit set-up, charged per hop on the CA clock.
-			latency += hops * int64(plat.CAHopTicks) * caPeriod
-			b.CASetupTicks += hops * int64(plat.CAHopTicks)
+			latency.cca = hops * caPeriod
+			a.caHops += hops
 			// One unload transaction per crossed BU, charged on the
 			// entered segment's bus and clock.
 			for _, bu := range route {
@@ -256,49 +323,81 @@ func (q *BoundsQuery) Bounds(plat *platform.Platform) (*Bounds, error) {
 				if !rightward {
 					entered = bu.Left
 				}
-				segTicks[entered] += header + items
-				latency += (header + items) * periods[entered]
+				segTicks[entered] = segTicks[entered].plus(tx)
+				latency = latency.plus(affine{c0: items * periods[entered], ch: periods[entered]})
 			}
-			chains[f.Order][f.Source] += latency
+			chain = chain.plus(latency)
 			// Full-serialisation allowance: the package's isolated
 			// latency plus a clock-edge alignment per scheduling step
 			// (compute start, grant, per-hop CA grant and unload
 			// grant, delivery), each at most one period of the
 			// slowest clock.
-			upperWork += latency + (4+3*hops)*maxPeriod
+			a.upper = a.upper.plus(latency)
+			a.upper.c0 += (4 + 3*hops) * maxPeriod
 		}
+		chains[f.Order][f.Source] = chains[f.Order][f.Source].plus(chain)
 	}
 
 	sort.Ints(orders)
 	for _, t := range orders {
-		var stageMax int64
-		for _, total := range chains[t] {
-			if total > stageMax {
-				stageMax = total
-			}
+		stage := make([]affine, 0, len(chains[t]))
+		for _, c := range chains[t] {
+			stage = append(stage, c)
 		}
-		b.CriticalPathPs += stageMax
+		a.chains = append(a.chains, stage)
 	}
-
 	for _, seg := range plat.Segments {
-		ticks := segTicks[seg.Index]
-		busy := ticks * periods[seg.Index]
-		b.Segments = append(b.Segments, SegmentLoad{Segment: seg.Index, BusTicks: ticks, BusyPs: busy})
-		if busy > b.BusLoadPs {
-			b.BusLoadPs = busy
-		}
-	}
-	b.LowerPs = b.CriticalPathPs
-	if b.BusLoadPs > b.LowerPs {
-		b.LowerPs = b.BusLoadPs
+		a.segments = append(a.segments, segmentTerm{index: seg.Index, ticks: segTicks[seg.Index], period: periods[seg.Index]})
 	}
 	// End detection: the monitor adds DetectTicks CA ticks after the
 	// last activity, and every arbiter's tick total is rounded up to
 	// a full period.
-	b.UpperPs = upperWork + (emulator.DefaultDetectTicks+1)*caPeriod + maxPeriod
+	a.upper.c0 += (emulator.DefaultDetectTicks+1)*caPeriod + maxPeriod
 
 	for _, name := range crossOrder {
-		b.Crossings = append(b.Crossings, *crossing[name])
+		a.crossings = append(a.crossings, *crossing[name])
 	}
-	return b, nil
+	return a, nil
+}
+
+// figures evaluates the critical path, the peak segment load and the
+// upper bound at the given ticks.
+func (a *AffineBounds) figures(header, caHop int64) (criticalPs, busLoadPs, upperPs int64) {
+	for _, stage := range a.chains {
+		var stageMax int64
+		for _, c := range stage {
+			stageMax = max(stageMax, c.at(header, caHop))
+		}
+		criticalPs += stageMax
+	}
+	for _, seg := range a.segments {
+		busLoadPs = max(busLoadPs, seg.ticks.at(header, 0)*seg.period)
+	}
+	return criticalPs, busLoadPs, a.upper.at(header, caHop)
+}
+
+// At returns the lower and upper execution-time bounds of the pair
+// with the platform's HeaderTicks and CAHopTicks replaced by the given
+// (non-negative) values. It allocates nothing.
+func (a *AffineBounds) At(headerTicks, caHopTicks int) (lowerPs, upperPs int64) {
+	critical, busLoad, upper := a.figures(int64(headerTicks), int64(caHopTicks))
+	return max(critical, busLoad), upper
+}
+
+// bounds evaluates the full static figures at the given ticks.
+func (a *AffineBounds) bounds(headerTicks, caHopTicks int) *Bounds {
+	header, caHop := int64(headerTicks), int64(caHopTicks)
+	b := &Bounds{
+		PackageSize:   a.packageSize,
+		TotalPackages: a.totalPackages,
+		CASetupTicks:  a.caHops * caHop,
+	}
+	b.CriticalPathPs, b.BusLoadPs, b.UpperPs = a.figures(header, caHop)
+	b.LowerPs = max(b.CriticalPathPs, b.BusLoadPs)
+	for _, seg := range a.segments {
+		ticks := seg.ticks.at(header, 0)
+		b.Segments = append(b.Segments, SegmentLoad{Segment: seg.index, BusTicks: ticks, BusyPs: ticks * seg.period})
+	}
+	b.Crossings = append(b.Crossings, a.crossings...)
+	return b
 }

@@ -49,11 +49,12 @@ type Options struct {
 	Heartbeat *obs.Heartbeat
 }
 
-// StageNs is the wall-clock nanoseconds a candidate (or a whole run)
-// spent per pipeline stage. Wall-clock is inherently nondeterministic,
-// so stage timings are excluded from every deterministic output path
-// (JSON report, tables); they surface through volatile gauges and the
-// CLI's -timings stderr dump.
+// StageNs is a run's busy nanoseconds per pipeline stage, summed over
+// the tasks of the stage and so over workers: with several workers a
+// stage can exceed the run's wall time. Wall-clock is inherently
+// nondeterministic, so stage timings are excluded from every
+// deterministic output path (JSON report, tables); they surface
+// through volatile gauges and the CLI's -timings stderr dump.
 type StageNs struct {
 	Bounds  int64 `json:"-"`
 	Emulate int64 `json:"-"`
@@ -79,9 +80,8 @@ type Point struct {
 	TotalPJ    float64 `json:"totalPj,omitempty"`
 	AvgPowerMW float64 `json:"avgPowerMw,omitempty"`
 
-	Err   error   `json:"-"`
-	Error string  `json:"error,omitempty"`
-	Stage StageNs `json:"-"`
+	Err   error  `json:"-"`
+	Error string `json:"error,omitempty"`
 }
 
 // Result is one explorer run. Points holds every candidate in
@@ -153,8 +153,9 @@ func (a *archive) dominatedLB(lbPs int64, lbPJ float64) bool {
 
 // Run explores the space over the model.
 //
-// Pipeline: enumerate → bounds (parallel, pure) → waves of
-// prune-then-emulate. Candidates are ordered by ascending latency
+// Pipeline: enumerate → bounds (parallel, pure, priced once per
+// group of candidates that differ only in their tick axes) → waves
+// of prune-then-emulate. Candidates are ordered by ascending latency
 // lower bound (ties: energy bound, then index) so the points most
 // likely to dominate others are emulated first; between waves, every
 // not-yet-emulated candidate whose (latency LB, energy LB) pair is
@@ -209,30 +210,38 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 	}
 	steal := parallel.StealOptions{Workers: workers, Seed: opts.Seed}
 
-	// Stage 1: analytic bounds, embarrassingly parallel and pure.
+	// Stage 1: analytic bounds, priced once per group of candidates
+	// that differ only in their tick axes. Enumerate builds every
+	// member's platform from the group's allocation, clocks and
+	// package size, and withDefaults rejects negative ticks, so one
+	// validation, one coefficient pass and one power profile (which
+	// reads neither tick field) serve the whole group; each member
+	// then costs one At. power.Params{} selects power.DefaultParams,
+	// here and in the estimate below: pruning and estimation price
+	// with the same coefficients.
+	groups := tickGroups(cands)
 	var boundsNs atomic.Int64
-	parallel.StealRun(len(cands), steal, func(i int) {
+	parallel.StealRun(len(groups), steal, func(g int) {
 		start := time.Now()
-		pt := &res.Points[i]
-		pt.Candidate = cands[i]
-		b, err := q.Bounds(cands[i].Platform)
+		plat := cands[groups[g][0]].Platform
+		var pf *power.Profile
+		ab, err := q.Affine(plat)
 		if err != nil {
-			pt.Err = fmt.Errorf("bounds: %w", err)
-			return
+			err = fmt.Errorf("bounds: %w", err)
+		} else if pf, err = power.NewProfile(m, plat, power.Params{}); err != nil {
+			err = fmt.Errorf("power profile: %w", err)
 		}
-		// power.Params{} selects power.DefaultParams, here and in
-		// the estimate below: pruning and estimation price with the
-		// same coefficients.
-		pf, err := power.NewProfile(m, cands[i].Platform, power.Params{})
-		if err != nil {
-			pt.Err = fmt.Errorf("power profile: %w", err)
-			return
+		for _, i := range groups[g] {
+			pt := &res.Points[i]
+			pt.Candidate = cands[i]
+			if err != nil {
+				pt.Err = err
+				continue
+			}
+			pt.LowerPs, pt.UpperPs = ab.At(pt.HeaderTicks, pt.CAHopTicks)
+			pt.EnergyLBPJ = pf.LowerBoundPJ(pt.LowerPs)
 		}
-		pt.LowerPs = b.LowerPs
-		pt.UpperPs = b.UpperPs
-		pt.EnergyLBPJ = pf.LowerBoundPJ(b.LowerPs)
-		pt.Stage.Bounds = time.Since(start).Nanoseconds()
-		boundsNs.Add(pt.Stage.Bounds)
+		boundsNs.Add(time.Since(start).Nanoseconds())
 	})
 
 	// Candidate order: most-likely-dominators first.
@@ -289,8 +298,7 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 			pt := &res.Points[i]
 			start := time.Now()
 			report, err := machines.Run(m, pt.Platform, emulator.Config{})
-			pt.Stage.Emulate = time.Since(start).Nanoseconds()
-			emulateNs.Add(pt.Stage.Emulate)
+			emulateNs.Add(time.Since(start).Nanoseconds())
 			if err != nil {
 				pt.Err = fmt.Errorf("emulate: %w", err)
 				failed.Add(1)
@@ -299,8 +307,7 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 			}
 			start = time.Now()
 			est, err := power.Estimate(m, pt.Platform, report, power.Params{})
-			pt.Stage.Power = time.Since(start).Nanoseconds()
-			powerNs.Add(pt.Stage.Power)
+			powerNs.Add(time.Since(start).Nanoseconds())
 			if err != nil {
 				pt.Err = fmt.Errorf("power: %w", err)
 				failed.Add(1)
@@ -354,6 +361,35 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 	metrics.StagePower.Set(float64(res.Timing.Power))
 	opts.Heartbeat.Final(int(done.Load()), int(failed.Load()))
 	return res, nil
+}
+
+// groupKey identifies the candidates that share a platform up to the
+// tick axes.
+type groupKey struct {
+	segments    int
+	mapping     string
+	packageSize int
+}
+
+// tickGroups partitions candidate indices by (segments, mapping,
+// package size) into groups whose members differ only in their tick
+// axes: groups in order of first appearance, members in enumeration
+// order. It keys by value, so it does not rely on the enumeration
+// order keeping a group contiguous.
+func tickGroups(cands []Candidate) [][]int {
+	slot := make(map[groupKey]int)
+	var groups [][]int
+	for i, c := range cands {
+		k := groupKey{c.Segments, c.Mapping, c.PackageSize}
+		g, ok := slot[k]
+		if !ok {
+			g = len(groups)
+			slot[k] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	return groups
 }
 
 // paretoFront returns the indices of the non-dominated emulated

@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"segbus/internal/analyze"
 	"segbus/internal/apps"
 	"segbus/internal/obs"
+	"segbus/internal/power"
 	"segbus/internal/psdf"
 )
 
@@ -142,6 +144,55 @@ func randomSpace(rng *rand.Rand, nprocs int) *Space {
 		PackageSizes: pick([]int{4, 9, 18, 36}),
 		HeaderTicks:  pick([]int{0, 10, 25, 80}),
 		CAHopTicks:   pick([]int{0, 25, 100}),
+	}
+}
+
+// TestGroupedBoundsMatchPerCandidate is the point-level oracle for
+// group pricing: every point's bounds and energy bound equal the
+// per-candidate analysis of its own platform, and every member's own
+// platform and mapping validation agrees with its group's.
+func TestGroupedBoundsMatchPerCandidate(t *testing.T) {
+	check := func(label string, m *psdf.Model, space *Space) {
+		t.Helper()
+		res, err := Run(m, space, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		cands := make([]Candidate, len(res.Points))
+		for i := range res.Points {
+			cands[i] = res.Points[i].Candidate
+		}
+		sameErr := func(a, b error) bool { return (a == nil) == (b == nil) }
+		for _, group := range tickGroups(cands) {
+			first := res.Points[group[0]].Platform
+			for _, i := range group {
+				p := &res.Points[i]
+				if !sameErr(p.Platform.Validate(), first.Validate()) ||
+					!sameErr(p.Platform.ValidateMapping(m), first.ValidateMapping(m)) {
+					t.Fatalf("%s: %s validates unlike its group's %s", label, p.Label, first.Name)
+				}
+				b, err := analyze.ComputeBounds(m, p.Platform)
+				if err != nil {
+					t.Fatalf("%s: %s: %v", label, p.Label, err)
+				}
+				pf, err := power.NewProfile(m, p.Platform, power.Params{})
+				if err != nil {
+					t.Fatalf("%s: %s: %v", label, p.Label, err)
+				}
+				lbPJ := pf.LowerBoundPJ(b.LowerPs)
+				if p.LowerPs != b.LowerPs || p.UpperPs != b.UpperPs ||
+					math.Float64bits(p.EnergyLBPJ) != math.Float64bits(lbPJ) {
+					t.Fatalf("%s: %s: grouped (%d, %d, %v), per candidate (%d, %d, %v)",
+						label, p.Label, p.LowerPs, p.UpperPs, p.EnergyLBPJ, b.LowerPs, b.UpperPs, lbPJ)
+				}
+			}
+		}
+	}
+	check("reference", apps.MP3Model(), ReferenceMP3Space())
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := apps.RandomModel(rng, 3, 3, 4)
+		check(fmt.Sprintf("seed %d", seed), m, randomSpace(rng, len(m.Processes())))
 	}
 }
 

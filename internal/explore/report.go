@@ -9,9 +9,10 @@ import (
 // ReportSchema versions the JSON report layout.
 const ReportSchema = "segbus/explore-report/v1"
 
-// jsonReport is the deterministic JSON shape: counters, the front,
-// and per-candidate outcomes. No wall-clock fields — the report is
-// byte-identical across worker counts and machines.
+// jsonReport is the deterministic JSON shape: the space, the
+// counters and the front's points. Per-candidate outcomes are not in
+// it (Result.Points is not serialised). No wall-clock fields — the
+// report is byte-identical across worker counts and machines.
 type jsonReport struct {
 	Schema string `json:"schema"`
 	Result
@@ -66,10 +67,11 @@ func (r *Result) CSV() string {
 	return b.String()
 }
 
-// TimingSummary renders the run's per-stage wall-clock totals. This
+// TimingSummary renders the run's per-stage busy-time totals, summed
+// over workers, so a stage can exceed the process's wall time. This
 // is the nondeterministic half of a run's story and belongs on
 // stderr, never in the deterministic report.
 func (r *Result) TimingSummary() string {
-	return fmt.Sprintf("stage wall time: bounds %.1fms, emulate %.1fms, power %.1fms\n",
+	return fmt.Sprintf("stage busy time (summed over workers): bounds %.1fms, emulate %.1fms, power %.1fms\n",
 		float64(r.Timing.Bounds)/1e6, float64(r.Timing.Emulate)/1e6, float64(r.Timing.Power)/1e6)
 }

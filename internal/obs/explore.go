@@ -3,7 +3,7 @@ package obs
 // The design-space explorer's metric catalogue. Counters and the
 // pruning-ratio gauge are deterministic for a given space (the
 // wave-synchronised pruning makes them independent of the worker
-// count); the per-stage wall-clock totals are volatile, so the
+// count); the per-stage busy-time totals are volatile, so the
 // deterministic JSON export — and with it the explorer's byte-stable
 // output guarantee — never carries timing noise.
 const (
@@ -33,9 +33,9 @@ const (
 	// MetricExplorePruningRatio is pruned/generated of the last run.
 	MetricExplorePruningRatio = "segbus_explore_pruning_ratio"
 
-	// MetricExploreStageNs totals per-candidate stage wall time by
-	// stage label (bounds, emulate, power). Volatile: excluded from
-	// the deterministic export.
+	// MetricExploreStageNs totals stage busy time, summed over
+	// workers, by stage label (bounds, emulate, power). Volatile:
+	// excluded from the deterministic export.
 	MetricExploreStageNs = "segbus_explore_stage_ns_total"
 )
 
@@ -77,6 +77,6 @@ func NewExploreMetrics(reg *Registry) *ExploreMetrics {
 	reg.Describe(MetricExploreWaves, "pruning waves executed")
 	reg.Describe(MetricExploreFrontSize, "points on the final Pareto front")
 	reg.Describe(MetricExplorePruningRatio, "pruned/generated of the last explorer run")
-	reg.Describe(MetricExploreStageNs, "explorer stage wall time by stage, nanoseconds")
+	reg.Describe(MetricExploreStageNs, "explorer stage busy time (summed over workers) by stage, nanoseconds")
 	return m
 }

@@ -125,6 +125,15 @@ diff -u <(grep -v '^wrote ' "$explore_dir/a/stdout") \
 	<(grep -v '^wrote ' "$explore_dir/b/stdout")
 diff -u "$explore_dir/a/report.json" "$explore_dir/b/report.json"
 
+# Prune-soundness smoke on the benchmark's own space: the Pareto front
+# of the pruned reference MP3 exploration must equal the exhaustive
+# run's, byte for byte. The CLI twin of TestPruneSoundnessProperty.
+go run ./cmd/segbus-explore -app mp3 -reference \
+	-csv "$explore_dir/a/front.csv" >/dev/null
+go run ./cmd/segbus-explore -app mp3 -reference -no-prune \
+	-csv "$explore_dir/b/front.csv" >/dev/null
+diff -u "$explore_dir/a/front.csv" "$explore_dir/b/front.csv"
+
 # Sweep determinism smoke, the same contract for segbus-sweep: the
 # curve's table and CSV at -workers 1 and at -workers 8 -seed 13 must
 # be byte-identical.
