@@ -2,12 +2,12 @@ package analyze
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"segbus/internal/emulator"
 	"segbus/internal/platform"
 	"segbus/internal/psdf"
+	"segbus/internal/sched"
 )
 
 // CodeBoundsInfo is the informational diagnostic summarising the
@@ -226,8 +226,10 @@ func (q *BoundsQuery) Affine(plat *platform.Platform) (*AffineBounds, error) {
 		return nil, fmt.Errorf("analyze: bounds need a complete mapping: %w", err)
 	}
 
-	s := plat.PackageSize
-	nominal := m.NominalPackageSize()
+	sch, err := sched.Extract(m, plat.PackageSize)
+	if err != nil {
+		return nil, fmt.Errorf("analyze: bounds: %w", err)
+	}
 	caPeriod := plat.CAClock.PeriodPs()
 
 	// Validate guarantees segment i carries Index i+1, so both
@@ -241,86 +243,67 @@ func (q *BoundsQuery) Affine(plat *platform.Platform) (*AffineBounds, error) {
 		}
 	}
 
-	a := &AffineBounds{packageSize: s}
+	a := &AffineBounds{packageSize: plat.PackageSize, totalPackages: sch.TotalPackages()}
 	segTicks := make([]affine, len(plat.Segments)+1)
 	// Every border unit gets an entry, so fully idle BUs still show
-	// up as the cold side of an imbalance.
-	crossing := make(map[string]*BUCrossing)
-	var crossOrder []string
+	// up as the cold side of an imbalance. BUs() lists unit i as
+	// Left i+1.
 	for _, bu := range plat.BUs() {
-		name := bu.Name()
-		crossing[name] = &BUCrossing{Name: name}
-		crossOrder = append(crossOrder, name)
+		a.crossings = append(a.crossings, BUCrossing{Name: bu.Name()})
 	}
 
-	// itemsIn mirrors the emulator's itemsInPackage: full packages
-	// with a possibly partial tail.
-	itemsIn := func(f psdf.Flow, pkg int) int64 {
-		rest := f.Items - (pkg-1)*s
-		if rest > s {
-			rest = s
-		}
-		if rest < 0 {
-			rest = 0
-		}
-		return int64(rest)
+	// Each flow's route: its source segment and the BUs it crosses.
+	type flowRoute struct {
+		src       int
+		route     []platform.BU
+		rightward bool
 	}
-	// compute mirrors the emulator's computeTicks: C, rescaled by the
-	// package's item share of the nominal package size.
-	compute := func(f psdf.Flow, pkg int) int64 {
-		c := int64(f.Ticks)
-		if nominal <= 0 {
-			return c
-		}
-		return (c*itemsIn(f, pkg) + int64(nominal) - 1) / int64(nominal)
-	}
-
-	// Serial per-process emission chains, per stage.
-	var orders []int
-	chains := make(map[int]map[psdf.ProcessID]affine)
-
-	for _, f := range m.Flows() {
-		if chains[f.Order] == nil {
-			orders = append(orders, f.Order)
-			chains[f.Order] = make(map[psdf.ProcessID]affine)
-		}
+	routes := make([]flowRoute, sch.NumFlows())
+	for id, f := range sch.Flows() {
 		srcSeg := plat.SegmentOf(f.Source)
 		dstSeg := srcSeg
 		if f.Target != psdf.SystemOutput {
 			dstSeg = plat.SegmentOf(f.Target)
 		}
 		route, rightward := plat.Route(srcSeg, dstSeg)
-		hops := int64(len(route))
-		pk := f.Packages(s)
-		a.totalPackages += pk
-
+		routes[id] = flowRoute{src: srcSeg, route: route, rightward: rightward}
+		pk := sch.Packages(sched.FlowID(id))
 		for _, bu := range route {
-			c := crossing[bu.Name()]
+			c := &a.crossings[bu.Left-1]
 			if rightward {
 				c.Rightward += pk
 			} else {
 				c.Leftward += pk
 			}
 		}
+	}
 
+	// Serial per-process emission chains, per stage: a program lists
+	// a process's emissions stage by stage, so each stage's chain is
+	// one run of entries.
+	a.chains = make([][]affine, sch.NumStages())
+	for _, p := range m.Processes() {
+		prog := sch.Program(p)
 		var chain affine
-		for pkg := 1; pkg <= pk; pkg++ {
-			items := itemsIn(f, pkg)
+		for i, e := range prog {
+			r := routes[e.Flow]
+			hops := int64(len(r.route))
+			items := int64(e.Items)
 			// A transaction moves header + items ticks.
 			tx := affine{c0: items, ch: 1}
-			srcPeriod := periods[srcSeg]
+			srcPeriod := periods[r.src]
 			// FU processing plus the source-segment transaction (an
-			// intra-segment transfer or the fill into the first BU).
-			latency := affine{c0: (compute(f, pkg) + items) * srcPeriod, ch: srcPeriod}
-			segTicks[srcSeg] = segTicks[srcSeg].plus(tx)
-			// CA circuit set-up, charged per hop on the CA clock.
-			latency.cca = hops * caPeriod
+			// intra-segment transfer or the fill into the first BU),
+			// and the CA circuit set-up, charged per hop on the CA
+			// clock.
+			latency := affine{c0: (e.Compute + items) * srcPeriod, ch: srcPeriod, cca: hops * caPeriod}
+			segTicks[r.src] = segTicks[r.src].plus(tx)
 			a.caHops += hops
 			// One unload transaction per crossed BU, charged on the
 			// entered segment's bus and clock.
-			for _, bu := range route {
+			for _, bu := range r.route {
 				entered := bu.Right
-				if !rightward {
+				if !r.rightward {
 					entered = bu.Left
 				}
 				segTicks[entered] = segTicks[entered].plus(tx)
@@ -334,17 +317,11 @@ func (q *BoundsQuery) Affine(plat *platform.Platform) (*AffineBounds, error) {
 			// slowest clock.
 			a.upper = a.upper.plus(latency)
 			a.upper.c0 += (4 + 3*hops) * maxPeriod
+			if i+1 == len(prog) || prog[i+1].Stage != e.Stage {
+				a.chains[e.Stage] = append(a.chains[e.Stage], chain)
+				chain = affine{}
+			}
 		}
-		chains[f.Order][f.Source] = chains[f.Order][f.Source].plus(chain)
-	}
-
-	sort.Ints(orders)
-	for _, t := range orders {
-		stage := make([]affine, 0, len(chains[t]))
-		for _, c := range chains[t] {
-			stage = append(stage, c)
-		}
-		a.chains = append(a.chains, stage)
 	}
 	for _, seg := range plat.Segments {
 		a.segments = append(a.segments, segmentTerm{index: seg.Index, ticks: segTicks[seg.Index], period: periods[seg.Index]})
@@ -353,10 +330,6 @@ func (q *BoundsQuery) Affine(plat *platform.Platform) (*AffineBounds, error) {
 	// last activity, and every arbiter's tick total is rounded up to
 	// a full period.
 	a.upper.c0 += (emulator.DefaultDetectTicks+1)*caPeriod + maxPeriod
-
-	for _, name := range crossOrder {
-		a.crossings = append(a.crossings, *crossing[name])
-	}
 	return a, nil
 }
 

@@ -14,9 +14,10 @@
 //	   ▲                                           │ grant
 //	   └───────────── deliver ◀── Transferring ◀───┘
 //
-// The emission program is the same one the emulator builds: the
-// model's flows in canonical order, one entry per package, each gated
-// by the proportional packet-SDF firing rule (a package may start
+// The emission program is the process's window of the table
+// sched.Extract compiles, the one the emulator's machines also run:
+// the model's flows in canonical order, one entry per package, each
+// gated by the per-stage packet-SDF firing rule (a package may start
 // only when its stage is active and the process has received `need`
 // input packages). Per-segment bus automata synchronise on the grant
 // action — at most one master per segment holds the bus between its
@@ -238,29 +239,19 @@ func (r *Result) TraceStrings() []string {
 	return out
 }
 
-// Entry is one package emission of an emitter's program, mirroring
-// the emulator's per-FU program construction.
-type Entry struct {
-	Flow sched.FlowID
-	Pkg  int // 1-based package index within the flow
-	Need int // input packages the firing gate requires first
-}
-
 // System is a compiled product: the per-process automata programs,
 // the segment mapping and the stage structure, ready for
 // exploration. Compile builds one; a System is immutable and safe
 // for concurrent use.
 type System struct {
-	sch        *sched.Schedule
-	procs      []psdf.ProcessID // ascending; index is the state slot
-	procIdx    map[psdf.ProcessID]int
-	segOf      []int // per proc index, 1-based hosting segment
-	programs   [][]Entry
-	emitters   []int // proc indices with non-empty programs, ascending
-	numStages  int
-	stageTotal []int // packages per stage
-	stageOfFlw []int // per FlowID, its stage index (precomputed StageOf)
-	pruned     int   // inert segments removed by the symmetry reduction
+	sch       *sched.Schedule
+	procs     []psdf.ProcessID // ascending; index is the state slot
+	procIdx   map[psdf.ProcessID]int
+	segOf     []int           // per proc index, 1-based hosting segment
+	programs  [][]sched.Entry // per proc index, its window of the schedule's table
+	emitters  []int           // proc indices with non-empty programs, ascending
+	numStages int
+	pruned    int // inert segments removed by the symmetry reduction
 }
 
 // NumEmitters returns the number of non-trivial process automata in

@@ -64,14 +64,14 @@ func (s *System) fillStuck(res *Result, st []byte) {
 			continue
 		}
 		e := s.programs[pi][pc]
-		if s.stageOfFlw[e.Flow] != stage {
+		if int(e.Stage) != stage {
 			continue
 		}
 		res.Blocked = append(res.Blocked, Blocked{
 			Proc: s.procs[pi],
 			Flow: s.sch.Flow(e.Flow),
-			Pkg:  e.Pkg,
-			Need: e.Need,
+			Pkg:  int(e.Pkg),
+			Need: int(e.Need),
 			Have: s.received(st, pi),
 		})
 	}
@@ -91,8 +91,8 @@ func (s *System) neverFired(final []byte) []Blocked {
 		out = append(out, Blocked{
 			Proc: s.procs[pi],
 			Flow: s.sch.Flow(e.Flow),
-			Pkg:  e.Pkg,
-			Need: e.Need,
+			Pkg:  int(e.Pkg),
+			Need: int(e.Need),
 			Have: s.received(final, pi),
 		})
 	}

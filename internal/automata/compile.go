@@ -3,7 +3,6 @@ package automata
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"segbus/internal/platform"
 	"segbus/internal/psdf"
@@ -56,12 +55,14 @@ func Compile(m *psdf.Model, plat *platform.Platform) (*System, error) {
 			packageSize = 1
 		}
 	}
+	// Counted before Extract, which compiles one program entry per
+	// package.
+	if t := m.TotalPackages(packageSize); t > maxPackages {
+		return nil, fmt.Errorf("%w: %d packages (max %d)", ErrTooLarge, t, maxPackages)
+	}
 	sch, err := sched.Extract(m, packageSize)
 	if err != nil {
 		return nil, err
-	}
-	if t := sch.TotalPackages(); t > maxPackages {
-		return nil, fmt.Errorf("%w: %d packages (max %d)", ErrTooLarge, t, maxPackages)
 	}
 	if n := sch.NumStages(); n > maxStages {
 		return nil, fmt.Errorf("%w: %d stages (max %d)", ErrTooLarge, n, maxStages)
@@ -76,6 +77,10 @@ func Compile(m *psdf.Model, plat *platform.Platform) (*System, error) {
 		procs:   procs,
 		procIdx: make(map[psdf.ProcessID]int, len(procs)),
 		segOf:   make([]int, len(procs)),
+		// Emission programs: each process's window of the schedule's
+		// compiled table, the one the emulator's machines read.
+		programs:  make([][]sched.Entry, len(procs)),
+		numStages: sch.NumStages(),
 	}
 	for i, p := range procs {
 		s.procIdx[p] = i
@@ -84,74 +89,9 @@ func Compile(m *psdf.Model, plat *platform.Platform) (*System, error) {
 		} else {
 			s.segOf[i] = 1
 		}
-	}
-
-	// Emission programs, built exactly the way the emulator builds its
-	// per-FU programs: the flows in canonical order, one entry per
-	// package, gated by inputs-before-this-order plus the proportional
-	// same-order share ceil(k·is/os).
-	s.programs = make([][]Entry, len(procs))
-	inBefore := func(p psdf.ProcessID, order int) int {
-		n := 0
-		for i, f := range sch.Flows() {
-			if f.Target == p && f.Order < order {
-				n += sch.Packages(sched.FlowID(i))
-			}
-		}
-		return n
-	}
-	inSame := func(p psdf.ProcessID, order int) int {
-		n := 0
-		for i, f := range sch.Flows() {
-			if f.Target == p && f.Order == order {
-				n += sch.Packages(sched.FlowID(i))
-			}
-		}
-		return n
-	}
-	outSame := make(map[psdf.ProcessID]map[int]int)
-	for i, f := range sch.Flows() {
-		if outSame[f.Source] == nil {
-			outSame[f.Source] = make(map[int]int)
-		}
-		outSame[f.Source][f.Order] += sch.Packages(sched.FlowID(i))
-	}
-	kSame := make(map[psdf.ProcessID]map[int]int)
-	for i, f := range sch.Flows() {
-		pi, ok := s.procIdx[f.Source]
-		if !ok {
-			return nil, fmt.Errorf("automata: flow %v source not a model process", f)
-		}
-		if kSame[f.Source] == nil {
-			kSame[f.Source] = make(map[int]int)
-		}
-		ib := inBefore(f.Source, f.Order)
-		is := inSame(f.Source, f.Order)
-		os := outSame[f.Source][f.Order]
-		for pkg := 1; pkg <= sch.Packages(sched.FlowID(i)); pkg++ {
-			kSame[f.Source][f.Order]++
-			k := kSame[f.Source][f.Order]
-			need := ib
-			if is > 0 && os > 0 {
-				need = ib + (k*is+os-1)/os
-			}
-			s.programs[pi] = append(s.programs[pi], Entry{Flow: sched.FlowID(i), Pkg: pkg, Need: need})
-		}
-	}
-	for i := range procs {
+		s.programs[i] = sch.Program(p)
 		if len(s.programs[i]) > 0 {
 			s.emitters = append(s.emitters, i)
-		}
-	}
-	sort.Ints(s.emitters)
-
-	s.numStages = sch.NumStages()
-	s.stageTotal = make([]int, s.numStages)
-	s.stageOfFlw = make([]int, sch.NumFlows())
-	for si, st := range sch.Stages() {
-		for _, id := range st.Flows {
-			s.stageTotal[si] += sch.Packages(id)
-			s.stageOfFlw[id] = si
 		}
 	}
 
@@ -168,14 +108,4 @@ func Compile(m *psdf.Model, plat *platform.Platform) (*System, error) {
 		s.pruned = plat.NumSegments() - len(active)
 	}
 	return s, nil
-}
-
-// Program returns process p's emission program (nil for pure sinks).
-// The slice must not be mutated.
-func (s *System) Program(p psdf.ProcessID) []Entry {
-	i, ok := s.procIdx[p]
-	if !ok {
-		return nil
-	}
-	return s.programs[i]
 }

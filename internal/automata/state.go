@@ -1,6 +1,9 @@
 package automata
 
-import "segbus/internal/psdf"
+import (
+	"segbus/internal/psdf"
+	"segbus/internal/sched"
+)
 
 // Product-state byte layout. All counters are uint16 big-endian (the
 // compile-time capacity guards keep them in range):
@@ -55,7 +58,7 @@ func (s *System) done(st []byte) bool { return s.stage(st) >= s.numStages }
 func (s *System) initial() []byte {
 	st := make([]byte, s.stateLen())
 	if s.numStages > 0 {
-		setU16(st, offLeft, s.stageTotal[0])
+		setU16(st, offLeft, s.sch.Stages()[0].Packages)
 	}
 	return st
 }
@@ -77,13 +80,13 @@ func (s *System) segBusy(st []byte, seg, ei int) bool {
 
 // action builds the trace action for emitter ei taking kind on the
 // program entry e.
-func (s *System) action(kind ActionKind, ei int, e Entry) Action {
+func (s *System) action(kind ActionKind, ei int, e sched.Entry) Action {
 	pi := s.emitters[ei]
 	return Action{
 		Kind: kind,
 		Proc: s.procs[pi],
 		Flow: s.sch.Flow(e.Flow),
-		Pkg:  e.Pkg,
+		Pkg:  int(e.Pkg),
 		Pkgs: s.sch.Packages(e.Flow),
 		Seg:  s.segOf[pi],
 	}
@@ -101,8 +104,8 @@ func (s *System) enabled(st []byte, ei int) bool {
 	case Waiting:
 		e := s.programs[pi][pc]
 		return !s.done(st) &&
-			s.stageOfFlw[e.Flow] == s.stage(st) &&
-			s.received(st, pi) >= e.Need
+			int(e.Stage) == s.stage(st) &&
+			s.received(st, pi) >= int(e.Need)
 	case RequestingBus:
 		return !s.segBusy(st, s.segOf[pi], ei)
 	default: // Computing, Transferring: always enabled
@@ -145,7 +148,7 @@ func (s *System) step(st []byte, ei int) (Action, []byte) {
 		stage := s.stage(st) + 1
 		setU16(ns, offStage, stage)
 		if stage < s.numStages {
-			left = s.stageTotal[stage]
+			left = s.sch.Stages()[stage].Packages
 		}
 	}
 	setU16(ns, offLeft, left)

@@ -25,9 +25,11 @@ package emulator
 // initiating master is released by the final delivery.
 //
 // Schedule: flows run stage by stage in T order; all flows of the
-// minimal uncompleted order may run concurrently; within a process,
-// emission k of an order waits for earlier-order inputs plus
-// ceil(k·I/O) same-order input packages.
+// minimal uncompleted order may run concurrently. Each FU runs its
+// process's emission program from package sched, gated per stage:
+// emission k of order T waits for all of the process's input packages
+// of earlier orders plus ceil(k·is/os) of its order-T inputs (is
+// order-T input packages, os order-T output packages).
 //
 // Monitoring (section 4 accounting): each SA's TCT counts clock ticks
 // from emulation start to its last bus activity; the CA's counts to

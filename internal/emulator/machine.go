@@ -65,13 +65,10 @@ func (x *Machine) Run(m *psdf.Model, plat *platform.Platform, cfg Config) (*Repo
 	if err := plat.ValidateRoles(m); err != nil {
 		return nil, err
 	}
-	sch, err := sched.Extract(m, plat.PackageSize)
-	if err != nil {
+	if err := x.mc.schBuf.Reset(m, plat.PackageSize); err != nil {
 		return nil, err
 	}
-	if err := x.mc.prime(plat, sch, m.NominalPackageSize(), cfg); err != nil {
-		return nil, err
-	}
+	x.mc.prime(plat, &x.mc.schBuf, cfg)
 	return x.mc.run()
 }
 
@@ -105,13 +102,6 @@ func validateConfig(cfg Config) error {
 	return nil
 }
 
-// emitEntry is one package emission in a functional unit's program.
-type emitEntry struct {
-	flow sched.FlowID
-	pkg  int // 1-based package index within the flow
-	need int // input packages the process must have received first
-}
-
 // Element state lives in parallel flat slices — static configuration,
 // dynamic run state and bound handlers — rather than one heap node per
 // element. The split keeps the per-run mutable state contiguous and
@@ -121,11 +111,12 @@ type emitEntry struct {
 // invalidating a single closure.
 
 // fuStatic is the per-prime configuration of one functional unit (one
-// hosted process). program keeps its capacity across primes.
+// hosted process). program is the process's window of the schedule's
+// compiled emission table.
 type fuStatic struct {
 	proc    psdf.ProcessID
 	seg     int // hosting segment, 1-based
-	program []emitEntry
+	program []sched.Entry
 }
 
 // fuDyn is the per-run mutable state of one functional unit. The zero
@@ -148,7 +139,7 @@ type fuDyn struct {
 	// rather than one per scheduled event. All three are only read
 	// between requestTransfer setting them and the transfer
 	// completing, so stale values after a reset are never observed.
-	pending  emitEntry
+	pending  sched.Entry
 	xferBuf  int // reserved first-hop buffer index (inter-segment only)
 	xferDst  int // destination segment of the in-flight emission
 	xferHops int // CA chain hops of the in-flight emission
@@ -229,9 +220,7 @@ type segDyn struct {
 
 // transitPkg is a package sitting in a border-unit buffer.
 type transitPkg struct {
-	flow   sched.FlowID
-	pkg    int
-	items  int // data items carried (the last package of a flow may be partial)
+	e      sched.Entry // the emission it carries
 	srcSeg int
 	dstSeg int
 	fullAt engine.Time // loaded (incl. sync overhead); waiting starts here
@@ -293,13 +282,13 @@ type buStats struct {
 // indices, never element pointers, so they survive both growth and
 // re-priming with a different model).
 type machine struct {
-	cfg     Config
-	plat    *platform.Platform
-	sch     *sched.Schedule
-	sim     *engine.Sim
-	s       int   // package size
-	nominal int   // C-value calibration package size (0: per-package C)
-	header  int64 // per-package protocol ticks
+	cfg    Config
+	plat   *platform.Platform
+	sch    *sched.Schedule // &schBuf once primed
+	schBuf sched.Schedule  // the schedule's storage, reused across runs
+	sim    *engine.Sim
+	s      int   // package size
+	header int64 // per-package protocol ticks
 
 	caClock engine.Clock
 
@@ -332,41 +321,7 @@ type machine struct {
 	reqSeq      uint64
 	endPs       engine.Time
 
-	// Emission-program derivation scratch, reused across primes:
-	// per-(source, order) package tallies keyed by the packed pair.
-	outSame map[uint64]int
-	kSame   map[uint64]int
-
 	met machineMetrics
-}
-
-// procOrderKey packs a (process, order) pair into one map key for the
-// emission-program scratch tables.
-func procOrderKey(p psdf.ProcessID, order int) uint64 {
-	return uint64(uint32(p))<<32 | uint64(uint32(order))
-}
-
-// inBefore and inSame are the per-process input package totals the
-// firing gates are derived from: packages a process receives on
-// earlier orders, respectively on the same order.
-func inBefore(sch *sched.Schedule, p psdf.ProcessID, order int) int {
-	n := 0
-	for i, f := range sch.Flows() {
-		if f.Target == p && f.Order < order {
-			n += sch.Packages(sched.FlowID(i))
-		}
-	}
-	return n
-}
-
-func inSame(sch *sched.Schedule, p psdf.ProcessID, order int) int {
-	n := 0
-	for i, f := range sch.Flows() {
-		if f.Target == p && f.Order == order {
-			n += sch.Packages(sched.FlowID(i))
-		}
-	}
-	return n
 }
 
 // sortFUs orders the FU slots by process id (insertion sort: FU counts
@@ -416,13 +371,14 @@ func buRequesterID(left int, rightward bool) int {
 }
 
 // prime configures the machine for one (model, platform, config)
-// triple: the event kernel is reset, the element arrays are sized and
-// their static configuration rebuilt, the per-run state zeroed and the
-// emission programs derived. A warm machine re-primes without
+// triple and the model's schedule: the event kernel is reset, the
+// element arrays are sized and their static configuration rebuilt
+// (each FU taking its window of the schedule's emission table), and
+// the per-run state zeroed. A warm machine re-primes without
 // allocating except where the new shape outgrows the arena. prime is
 // total over dirty machines — it never reads run state left by a
 // previous (possibly failed) run.
-func (mc *machine) prime(plat *platform.Platform, sch *sched.Schedule, nominal int, cfg Config) error {
+func (mc *machine) prime(plat *platform.Platform, sch *sched.Schedule, cfg Config) {
 	if cfg.DetectTicks == 0 {
 		cfg.DetectTicks = DefaultDetectTicks
 	}
@@ -430,7 +386,6 @@ func (mc *machine) prime(plat *platform.Platform, sch *sched.Schedule, nominal i
 	mc.plat = plat
 	mc.sch = sch
 	mc.s = plat.PackageSize
-	mc.nominal = nominal
 	mc.header = int64(plat.HeaderTicks)
 	mc.caClock = engine.NewClock(plat.CAClock.PeriodPs())
 
@@ -505,7 +460,7 @@ func (mc *machine) prime(plat *platform.Platform, sch *sched.Schedule, nominal i
 			st := &mc.fuStat[i]
 			st.proc = pfu.Process
 			st.seg = seg.Index
-			st.program = st.program[:0]
+			st.program = sch.Program(pfu.Process)
 			mc.fuDyn[i] = fuDyn{}
 			i++
 		}
@@ -523,53 +478,15 @@ func (mc *machine) prime(plat *platform.Platform, sch *sched.Schedule, nominal i
 		mc.bindFU(len(mc.fuHook))
 	}
 
-	// Emission programs follow the canonical flow order; the per-order
-	// proportional gate interleaves same-order pipelines.
-	if mc.outSame == nil {
-		mc.outSame = make(map[uint64]int)
-		mc.kSame = make(map[uint64]int)
-	} else {
-		clear(mc.outSame)
-		clear(mc.kSame)
-	}
-	for i, f := range sch.Flows() {
-		mc.outSame[procOrderKey(f.Source, f.Order)] += sch.Packages(sched.FlowID(i))
-	}
-	for i, f := range sch.Flows() {
-		fi, ok := mc.fuOf[f.Source]
-		if !ok {
-			return fmt.Errorf("emulator: flow %v source not hosted", f)
-		}
-		fu := &mc.fuStat[fi]
-		key := procOrderKey(f.Source, f.Order)
-		ib := inBefore(sch, f.Source, f.Order)
-		is := inSame(sch, f.Source, f.Order)
-		os := mc.outSame[key]
-		for pkg := 1; pkg <= sch.Packages(sched.FlowID(i)); pkg++ {
-			mc.kSame[key]++
-			k := mc.kSame[key]
-			need := ib
-			if is > 0 && os > 0 {
-				need = ib + (k*is+os-1)/os
-			}
-			fu.program = append(fu.program, emitEntry{flow: sched.FlowID(i), pkg: pkg, need: need})
-		}
-	}
-
 	// Stage accounting.
 	ns := sch.NumStages()
 	mc.stageLeft = grown(mc.stageLeft, ns)
 	mc.stageStart = grown(mc.stageStart, ns)
 	mc.stageEnd = grown(mc.stageEnd, ns)
-	for i := 0; i < ns; i++ {
-		mc.stageLeft[i] = 0
-		mc.stageStart[i] = 0
-		mc.stageEnd[i] = 0
-	}
 	for si, st := range sch.Stages() {
-		for _, id := range st.Flows {
-			mc.stageLeft[si] += sch.Packages(id)
-		}
+		mc.stageLeft[si] = st.Packages
+		mc.stageStart[si] = 0
+		mc.stageEnd[si] = 0
 	}
 
 	mc.stage = 0
@@ -577,7 +494,6 @@ func (mc *machine) prime(plat *platform.Platform, sch *sched.Schedule, nominal i
 	mc.caRequests = 0
 	mc.reqSeq = 0
 	mc.endPs = 0
-	return nil
 }
 
 // reset returns a primed machine to its post-prime state without
@@ -604,15 +520,10 @@ func (mc *machine) reset() {
 	for i := range mc.busSt {
 		mc.busSt[i] = buStats{bu: mc.busSt[i].bu}
 	}
-	for i := range mc.stageLeft {
-		mc.stageLeft[i] = 0
-		mc.stageStart[i] = 0
-		mc.stageEnd[i] = 0
-	}
 	for si, st := range mc.sch.Stages() {
-		for _, id := range st.Flows {
-			mc.stageLeft[si] += mc.sch.Packages(id)
-		}
+		mc.stageLeft[si] = st.Packages
+		mc.stageStart[si] = 0
+		mc.stageEnd[si] = 0
 	}
 	mc.stage = 0
 	mc.caBusyUntil = 0
@@ -650,9 +561,8 @@ func (mc *machine) bindFU(i int) {
 		},
 		intraEnd: func(now engine.Time) {
 			st, d := &mc.fuStat[i], &mc.fuDyn[i]
-			e := d.pending
 			d.sent++
-			mc.deliver(e.flow, e.pkg, now)
+			mc.deliver(d.pending, now)
 			mc.pumpSegment(st.seg-1, now)
 		},
 		fillEnd: func(now engine.Time) { mc.finishFill(i, now) },
@@ -697,34 +607,6 @@ func (mc *machine) bufFree(b int) bool {
 func (mc *machine) grantTicks() int64 { return int64(mc.cfg.Overheads.GrantTicks) }
 func (mc *machine) syncTicks() int64  { return int64(mc.cfg.Overheads.SyncTicks) }
 
-// itemsInPackage returns the number of data items the pkg-th (1-based)
-// package of flow id carries: the platform package size except for a
-// possibly partial final package.
-func (mc *machine) itemsInPackage(id sched.FlowID, pkg int) int {
-	total := mc.sch.Flow(id).Items
-	rest := total - (pkg-1)*mc.s
-	if rest > mc.s {
-		return mc.s
-	}
-	if rest < 0 {
-		return 0
-	}
-	return rest
-}
-
-// computeTicks returns the FU processing cost for one package: the
-// flow's C value, scaled by the package's item count relative to the
-// model's nominal package size when one is declared (work is a
-// property of the data, not of the packaging).
-func (mc *machine) computeTicks(id sched.FlowID, pkg int) int64 {
-	c := int64(mc.sch.Flow(id).Ticks)
-	if mc.nominal <= 0 {
-		return c
-	}
-	items := int64(mc.itemsInPackage(id, pkg))
-	return (c*items + int64(mc.nominal) - 1) / int64(mc.nominal)
-}
-
 // run drives the simulation to completion and assembles the report.
 func (mc *machine) run() (*Report, error) {
 	mc.met.runs.Inc()
@@ -768,10 +650,10 @@ func (mc *machine) deadlockError() error {
 			continue
 		}
 		e := st.program[d.next]
-		if mc.sch.StageOf(e.flow) != mc.stage {
+		if int(e.Stage) != mc.stage {
 			continue
 		}
-		de.Blocked = append(de.Blocked, BlockedProc{Proc: st.proc, Need: e.need, Have: d.received})
+		de.Blocked = append(de.Blocked, BlockedProc{Proc: st.proc, Need: int(e.Need), Have: d.received})
 	}
 	return de
 }
@@ -784,10 +666,7 @@ func (mc *machine) advanceFU(i int, now engine.Time) {
 		return
 	}
 	e := st.program[d.next]
-	if mc.sch.StageOf(e.flow) != mc.stage {
-		return
-	}
-	if d.received < e.need {
+	if int(e.Stage) != mc.stage || d.received < int(e.Need) {
 		return
 	}
 	d.busy = true
@@ -798,11 +677,11 @@ func (mc *machine) advanceFU(i int, now engine.Time) {
 		d.started = true
 		d.startPs = start
 	}
-	compEnd := start + clock.Ticks(mc.computeTicks(e.flow, e.pkg))
+	compEnd := start + clock.Ticks(e.Compute)
 	if mc.cfg.Trace.Enabled() {
-		f := mc.sch.Flow(e.flow)
+		f := mc.sch.Flow(e.Flow)
 		mc.cfg.Trace.AddInterval(st.proc.String(), traceCompute, int64(start), int64(compEnd),
-			fmt.Sprintf("%s pkg %d/%d", flowLabel(f), e.pkg, mc.sch.Packages(e.flow)))
+			fmt.Sprintf("%s pkg %d/%d", flowLabel(f), e.Pkg, mc.sch.Packages(e.Flow)))
 	}
 	d.pending = e
 	mc.sim.At(compEnd, prioCompute, mc.fuHook[i].computeDone)
@@ -817,8 +696,7 @@ func flowLabel(f psdf.Flow) string {
 // the border-unit chain otherwise.
 func (mc *machine) requestTransfer(i int, now engine.Time) {
 	st, d := &mc.fuStat[i], &mc.fuDyn[i]
-	e := d.pending
-	f := mc.sch.Flow(e.flow)
+	f := mc.sch.Flow(d.pending.Flow)
 	src := st.seg
 	dst := src
 	if f.Target != psdf.SystemOutput {
@@ -948,13 +826,13 @@ func (mc *machine) runIntra(i int, grantAt engine.Time) {
 	clock := mc.segStat[si].clock
 	start := clock.NextEdge(grantAt)
 	dataStart := start + clock.Ticks(mc.grantTicks()+mc.header)
-	end := dataStart + clock.Ticks(int64(mc.itemsInPackage(e.flow, e.pkg)))
+	end := dataStart + clock.Ticks(int64(e.Items))
 	g.busyUntil = end
 	g.lastBusy = end
 	if mc.cfg.Trace.Enabled() {
-		f := mc.sch.Flow(e.flow)
+		f := mc.sch.Flow(e.Flow)
 		mc.cfg.Trace.AddInterval(fmt.Sprintf("Segment %d", st.seg), traceTransfer, int64(start), int64(end),
-			fmt.Sprintf("%s pkg %d", flowLabel(f), e.pkg))
+			fmt.Sprintf("%s pkg %d", flowLabel(f), e.Pkg))
 	}
 	mc.sim.At(end, prioEffect, mc.fuHook[i].intraEnd)
 }
@@ -969,18 +847,17 @@ func (mc *machine) runFill(i int, grantAt engine.Time) {
 	g := &mc.segDyn[si]
 	clock := mc.segStat[si].clock
 	buf := &mc.bufStat[d.xferBuf]
-	items := mc.itemsInPackage(e.flow, e.pkg)
 	start := clock.NextEdge(grantAt)
 	dataStart := start + clock.Ticks(mc.grantTicks()+mc.header)
-	end := dataStart + clock.Ticks(int64(items))
+	end := dataStart + clock.Ticks(int64(e.Items))
 	g.busyUntil = end
 	g.lastBusy = end
 	if mc.cfg.Trace.Enabled() {
-		f := mc.sch.Flow(e.flow)
+		f := mc.sch.Flow(e.Flow)
 		mc.cfg.Trace.AddInterval(fmt.Sprintf("Segment %d", st.seg), traceTransfer, int64(start), int64(end),
-			fmt.Sprintf("%s pkg %d fill %s", flowLabel(f), e.pkg, buf.bu.Name()))
+			fmt.Sprintf("%s pkg %d fill %s", flowLabel(f), e.Pkg, buf.bu.Name()))
 		mc.cfg.Trace.AddInterval(buf.bu.Name(), traceBULoad, int64(dataStart), int64(end),
-			fmt.Sprintf("%s pkg %d", flowLabel(f), e.pkg))
+			fmt.Sprintf("%s pkg %d", flowLabel(f), e.Pkg))
 	}
 	mc.sim.At(end, prioEffect, mc.fuHook[i].fillEnd)
 }
@@ -996,13 +873,13 @@ func (mc *machine) finishFill(i int, now engine.Time) {
 	bd := &mc.bufDyn[b]
 	si := st.seg - 1
 	g := &mc.segDyn[si]
-	items := mc.itemsInPackage(e.flow, e.pkg)
+	items := e.Items
 	bst := &mc.busSt[buf.bu.Left-1]
 	mc.caRelease(now)
 	fullAt := now + mc.segStat[si].clock.Ticks(mc.syncTicks())
 	bd.reserved = false
 	bd.occupied = true
-	bd.pkg = transitPkg{flow: e.flow, pkg: e.pkg, items: items, srcSeg: st.seg, dstSeg: d.xferDst, fullAt: fullAt}
+	bd.pkg = transitPkg{e: e, srcSeg: st.seg, dstSeg: d.xferDst, fullAt: fullAt}
 	bst.in++
 	bst.loadTicks += int64(items)
 	mc.met.buLoad[buf.bu.Left-1].Add(int64(items))
@@ -1051,7 +928,7 @@ func (mc *machine) runUnload(b int, grantAt engine.Time) {
 	clock := mc.segStat[ni].clock
 	start := clock.NextEdge(grantAt)
 	dataStart := start + clock.Ticks(mc.grantTicks()+mc.syncTicks()+mc.header)
-	end := dataStart + clock.Ticks(int64(pkg.items))
+	end := dataStart + clock.Ticks(int64(pkg.e.Items))
 	ns.busyUntil = end
 	ns.lastBusy = end
 	bst := &mc.busSt[buf.bu.Left-1]
@@ -1064,17 +941,17 @@ func (mc *machine) runUnload(b int, grantAt engine.Time) {
 		mc.met.buWait[buf.bu.Left-1].Add(ticks)
 		if mc.cfg.Trace.Enabled() {
 			mc.cfg.Trace.AddInterval(buf.bu.Name(), traceBUWait, int64(pkg.fullAt), int64(start),
-				fmt.Sprintf("%s pkg %d", flowLabel(mc.sch.Flow(pkg.flow)), pkg.pkg))
+				fmt.Sprintf("%s pkg %d", flowLabel(mc.sch.Flow(pkg.e.Flow)), pkg.e.Pkg))
 		}
 	}
-	bst.unloadTicks += int64(pkg.items)
-	mc.met.buUnload[buf.bu.Left-1].Add(int64(pkg.items))
+	bst.unloadTicks += int64(pkg.e.Items)
+	mc.met.buUnload[buf.bu.Left-1].Add(int64(pkg.e.Items))
 	if mc.cfg.Trace.Enabled() {
-		f := mc.sch.Flow(pkg.flow)
+		f := mc.sch.Flow(pkg.e.Flow)
 		mc.cfg.Trace.AddInterval(fmt.Sprintf("Segment %d", buf.nextSeg), traceTransfer, int64(start), int64(end),
-			fmt.Sprintf("%s pkg %d unload %s", flowLabel(f), pkg.pkg, buf.bu.Name()))
+			fmt.Sprintf("%s pkg %d unload %s", flowLabel(f), pkg.e.Pkg, buf.bu.Name()))
 		mc.cfg.Trace.AddInterval(buf.bu.Name(), traceBUUnload, int64(dataStart), int64(end),
-			fmt.Sprintf("%s pkg %d", flowLabel(f), pkg.pkg))
+			fmt.Sprintf("%s pkg %d", flowLabel(f), pkg.e.Pkg))
 	}
 	bd.dataStartPs = dataStart
 	mc.sim.At(end, prioEffect, mc.bufHook[b].unloadEnd)
@@ -1101,7 +978,7 @@ func (mc *machine) finishUnload(b int, now engine.Time) {
 	bd.pkg = transitPkg{}
 	mc.serveWaiters(b, now)
 	if forward < 0 {
-		mc.deliver(pkg.flow, pkg.pkg, now)
+		mc.deliver(pkg.e, now)
 	} else {
 		fwd := &mc.bufStat[forward]
 		fd := &mc.bufDyn[forward]
@@ -1109,10 +986,11 @@ func (mc *machine) finishUnload(b int, now engine.Time) {
 		fullAt := now + mc.segStat[ni].clock.Ticks(mc.syncTicks())
 		fd.reserved = false
 		fd.occupied = true
-		fd.pkg = transitPkg{flow: pkg.flow, pkg: pkg.pkg, items: pkg.items, srcSeg: pkg.srcSeg, dstSeg: pkg.dstSeg, fullAt: fullAt}
+		fd.pkg = pkg
+		fd.pkg.fullAt = fullAt
 		fst.in++
-		fst.loadTicks += int64(pkg.items)
-		mc.met.buLoad[fwd.bu.Left-1].Add(int64(pkg.items))
+		fst.loadTicks += int64(pkg.e.Items)
+		mc.met.buLoad[fwd.bu.Left-1].Add(int64(pkg.e.Items))
 		if fwd.rightward {
 			fst.recvFromLeft++
 		} else {
@@ -1120,7 +998,7 @@ func (mc *machine) finishUnload(b int, now engine.Time) {
 		}
 		if mc.cfg.Trace.Enabled() {
 			mc.cfg.Trace.AddInterval(fwd.bu.Name(), traceBULoad, int64(bd.dataStartPs), int64(now),
-				fmt.Sprintf("%s pkg %d", flowLabel(mc.sch.Flow(pkg.flow)), pkg.pkg))
+				fmt.Sprintf("%s pkg %d", flowLabel(mc.sch.Flow(pkg.e.Flow)), pkg.e.Pkg))
 		}
 		mc.startUnload(forward, fullAt)
 	}
@@ -1142,17 +1020,17 @@ func (mc *machine) serveWaiters(b int, now engine.Time) {
 	w(now)
 }
 
-// deliver completes one package: the target process's receive counter
+// deliver completes emission e: the target process's receive counter
 // advances, the stage accounting decrements, and blocked FUs are
 // re-examined.
-func (mc *machine) deliver(id sched.FlowID, pkg int, now engine.Time) {
-	f := mc.sch.Flow(id)
+func (mc *machine) deliver(e sched.Entry, now engine.Time) {
+	f := mc.sch.Flow(e.Flow)
 	mc.met.delivered.Inc()
 	if now > mc.endPs {
 		mc.endPs = now
 	}
 	if mc.cfg.Observer != nil {
-		mc.cfg.Observer.PackageDelivered(int(f.Source), int(f.Target), pkg, int64(now))
+		mc.cfg.Observer.PackageDelivered(int(f.Source), int(f.Target), int(e.Pkg), int64(now))
 	}
 	if si, ok := mc.fuOf[f.Source]; ok {
 		sd := &mc.fuDyn[si]
@@ -1168,7 +1046,7 @@ func (mc *machine) deliver(id sched.FlowID, pkg int, now engine.Time) {
 		td.gotRecv = true
 		mc.advanceFU(ti, now)
 	}
-	si := mc.sch.StageOf(id)
+	si := int(e.Stage)
 	mc.stageLeft[si]--
 	if mc.stageLeft[si] < 0 {
 		panic(fmt.Sprintf("emulator: stage %d over-delivered", si))
@@ -1202,6 +1080,13 @@ func (mc *machine) report() *Report {
 		Refined:     !mc.cfg.Overheads.Zero(),
 		EndPs:       mc.endPs,
 		Steps:       mc.sim.Steps(),
+		SAs:         make([]SAStats, 0, len(mc.segStat)),
+		Segments:    make([]SegmentStats, 0, len(mc.segStat)),
+		Processes:   make([]ProcessStats, 0, len(mc.fuStat)),
+		Stages:      make([]StageStats, 0, mc.sch.NumStages()),
+	}
+	if len(mc.busSt) > 0 { // a one-segment platform reports nil BUs
+		r.BUs = make([]BUStats, 0, len(mc.busSt))
 	}
 	for i := range mc.segStat {
 		st, g := &mc.segStat[i], &mc.segDyn[i]
@@ -1250,13 +1135,9 @@ func (mc *machine) report() *Report {
 		})
 	}
 	for si, st := range mc.sch.Stages() {
-		pkgs := 0
-		for _, id := range st.Flows {
-			pkgs += mc.sch.Packages(id)
-		}
 		r.Stages = append(r.Stages, StageStats{
 			Order:    st.Order,
-			Packages: pkgs,
+			Packages: st.Packages,
 			StartPs:  mc.stageStart[si],
 			EndPs:    mc.stageEnd[si],
 		})

@@ -88,7 +88,7 @@ type Report struct {
 // work.
 func Estimate(m *psdf.Model, plat *platform.Platform, r *emulator.Report, params Params) (*Report, error) {
 	// The traffic and compute attribution (bus items per segment,
-	// compute ticks rescaled exactly as the emulator charges them) is
+	// compute ticks per flow, rescaled to the nominal package size) is
 	// run-independent and shared with the explorer's pruning bounds —
 	// see Profile, which also documents why its LowerBoundPJ can never
 	// exceed the total computed here.

@@ -1,24 +1,35 @@
 package power
 
 import (
+	"fmt"
+
 	"segbus/internal/platform"
 	"segbus/internal/psdf"
-	"segbus/internal/sched"
 )
 
 // Profile is the run-independent activity of a (model, platform)
 // pair: the traffic and compute figures that are fully determined by
-// the extracted schedule and the bus topology before any emulation
+// the model's flows and the bus topology before any emulation
 // happens. Estimate derives its bus and compute energies from exactly
 // these figures; the design-space explorer uses them, together with
 // analyze's latency lower bound, to lower-bound a candidate's energy
 // without emulating it.
+//
+// The compute figure is charged per flow as ceil(C·Items/nominal)
+// (C per package when the model declares no nominal package size).
+// That is the emulator's charge only when the package size equals the
+// nominal one: the emulator rescales each package separately and
+// rounds each up, so at other package sizes its per-package sum can
+// exceed this figure. That keeps the energy lower bound sound, and
+// Estimate prices compute with the same figure.
 type Profile struct {
-	params    Params
-	segments  int
-	busItems  map[int]int64 // segment -> items moved on its bus
-	compTicks map[int]int64 // segment -> FU compute ticks
-	buItems   map[int]int64 // BU (keyed by Left segment) -> items crossing
+	params   Params
+	segments int
+	// Indexed by 1-based segment index; slot 0 collects processes no
+	// segment hosts.
+	busItems  []int64 // items moved on each segment's bus
+	compTicks []int64 // compute ticks of each segment's FUs
+	buItems   []int64 // items crossing each BU, indexed by its Left segment
 
 	segOrder []int         // plat.Segments order, for float-stable summation
 	buOrder  []platform.BU // plat.BUs() order, matching the report's grouping
@@ -31,20 +42,19 @@ func NewProfile(m *psdf.Model, plat *platform.Platform, params Params) (*Profile
 	if params.zero() {
 		params = DefaultParams
 	}
-	s, err := sched.Extract(m, plat.PackageSize)
-	if err != nil {
-		return nil, err
+	if plat.PackageSize <= 0 {
+		return nil, fmt.Errorf("power: non-positive package size %d", plat.PackageSize)
 	}
+	n := plat.NumSegments() + 1
 	pf := &Profile{
 		params:    params,
 		segments:  plat.NumSegments(),
-		busItems:  make(map[int]int64),
-		compTicks: make(map[int]int64),
-		buItems:   make(map[int]int64),
+		busItems:  make([]int64, n),
+		compTicks: make([]int64, n),
+		buItems:   make([]int64, n),
 	}
 	nominal := m.NominalPackageSize()
-	for i := range s.Flows() {
-		f := s.Flow(sched.FlowID(i))
+	for _, f := range m.Flows() {
 		src := plat.SegmentOf(f.Source)
 		dst := src
 		if f.Target != psdf.SystemOutput {
@@ -64,7 +74,7 @@ func NewProfile(m *psdf.Model, plat *platform.Platform, params Params) (*Profile
 			pf.busItems[next] += int64(f.Items)
 			pf.buItems[bu.Left] += int64(f.Items)
 		}
-		pkgs := s.Packages(sched.FlowID(i))
+		pkgs := f.Packages(plat.PackageSize)
 		var ticks int64
 		if nominal > 0 {
 			ticks = (int64(f.Ticks)*int64(f.Items) + int64(nominal) - 1) / int64(nominal)

@@ -1,4 +1,5 @@
-// Package sched extracts the application schedule from a PSDF model.
+// Package sched extracts the application schedule from a PSDF model
+// and compiles the firing rule every runner reads.
 //
 // The paper's emulator derives the sequencing of processing and
 // transfers from the PSDF ordering numbers and implements it within
@@ -9,18 +10,32 @@
 //     becomes active only when every flow of every earlier stage has
 //     completed, and all flows of an active stage may run
 //     concurrently (section 3.1 on equal ordering numbers);
-//   - within a process, output packages are gated on input
-//     availability by proportional packet-SDF firing: a process that
-//     consumes I packages and produces O packages may emit its k-th
-//     package only after receiving ceil(k·I/O) packages.
 //
-// The emulator consumes the Schedule to drive FU masters and to decide
-// end-of-stage barriers.
+//   - each process's emissions are compiled into a program, one Entry
+//     per output package, in canonical flow order. The k-th package a
+//     process emits within order T is gated per stage by packet-SDF
+//     firing: it may start only after the process has received
+//
+//     need = ib + ceil(k·is/os)
+//
+//     input packages, where ib counts its input packages of orders
+//     before T, is its input packages of order T, and os its output
+//     packages of order T (need = ib when is is zero). The gate is
+//     proportional within an order, not over the whole run: inputs of
+//     an earlier order are all required before any later-order
+//     emission.
+//
+// Each Entry also carries the package's item count and FU compute
+// ticks, so the emulator, the exact deadlock checker (package
+// automata) and the static bounds (package analyze) read one table
+// rather than deriving the rule themselves.
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"segbus/internal/psdf"
 )
@@ -34,72 +49,201 @@ type FlowID int
 // Stage is the set of flows sharing one ordering number. All flows of
 // a stage may execute concurrently once the stage is active.
 type Stage struct {
-	Order int      // the shared ordering number T
-	Flows []FlowID // member flows, in canonical order
+	Order    int      // the shared ordering number T
+	Flows    []FlowID // member flows, in canonical order
+	Packages int      // package transfers of the member flows
+}
+
+// Entry is one package emission of a process's program: the compiled
+// firing rule and cost of that package. The counters are 32-bit to
+// keep the table dense; Extract's limits (MaxPackages, a package size
+// that fits) keep them in range.
+type Entry struct {
+	Flow    FlowID
+	Pkg     int32 // 1-based package index within the flow
+	Stage   int32 // index into Stages of the flow's stage
+	Need    int32 // input packages the process must have received first
+	Items   int32 // data items carried: the package size, or a partial tail
+	Compute int64 // FU compute ticks (see Extract)
+}
+
+// program is one emitting process's window into Schedule.entries.
+type program struct {
+	proc   psdf.ProcessID
+	lo, hi int
 }
 
 // Schedule is the extracted application schedule: the canonical flow
 // list, its partition into stages, per-flow package counts for the
-// configured package size, and the per-process firing gates.
+// configured package size, and the per-process emission programs.
 type Schedule struct {
 	PackageSize int
 	flows       []psdf.Flow
-	packages    []int   // per FlowID
-	stages      []Stage // ascending by Order
-	inPkgs      map[psdf.ProcessID]int
-	outPkgs     map[psdf.ProcessID]int
+	packages    []int // per FlowID
+	ids         []FlowID
+	stages      []Stage // ascending by Order; Flows are windows of ids
+	entries     []Entry // every program, grouped by source process
+	programs    []program
+	bySrc       []FlowID // compile scratch
 }
 
-// Extract builds the schedule of model m for the given package size.
-// The model should have been validated first; Extract itself only
-// requires a positive package size.
+// MaxPackages caps the package transfers of one schedule: the
+// compiled table holds an entry per package, so a model past the cap
+// is rejected rather than allocated.
+const MaxPackages = 1 << 24
+
+// maxPackageSize is the largest package size an Entry's Items holds.
+const maxPackageSize = math.MaxInt32
+
+// Extract builds the schedule of model m for the given package size
+// and compiles its emission programs. A package carries PackageSize
+// items except for a flow's partial tail; its compute ticks are the
+// flow's C value, rescaled by the package's item share of the model's
+// nominal package size when one is declared (work is a property of
+// the data, not of the packaging). The model should have been
+// validated first; Extract itself only requires a positive package
+// size below 2³¹ and at most MaxPackages package transfers.
 func Extract(m *psdf.Model, packageSize int) (*Schedule, error) {
+	s := new(Schedule)
+	if err := s.Reset(m, packageSize); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Reset re-extracts s for model m and the given package size, as
+// Extract does, but into s's own storage: its slices keep their
+// capacity, so a caller extracting once per run (the emulator's
+// machines) allocates only when a larger model arrives. Slices handed
+// out by s before the call are overwritten. On error s is unchanged.
+func (s *Schedule) Reset(m *psdf.Model, packageSize int) error {
 	if packageSize <= 0 {
-		return nil, fmt.Errorf("sched: non-positive package size %d", packageSize)
+		return fmt.Errorf("sched: non-positive package size %d", packageSize)
 	}
-	n := m.NumProcesses()
-	s := &Schedule{
-		PackageSize: packageSize,
-		flows:       m.Flows(),
-		inPkgs:      make(map[psdf.ProcessID]int, n),
-		outPkgs:     make(map[psdf.ProcessID]int, n),
+	if packageSize > maxPackageSize {
+		return fmt.Errorf("sched: package size %d exceeds %d", packageSize, maxPackageSize)
 	}
-	s.packages = make([]int, len(s.flows))
-	for i, f := range s.flows {
+	flows := m.Flows()
+	total := 0
+	for _, f := range flows {
 		pk := f.Packages(packageSize)
-		s.packages[i] = pk
-		s.outPkgs[f.Source] += pk
-		if f.Target != psdf.SystemOutput {
-			s.inPkgs[f.Target] += pk
+		if pk < 0 || pk > MaxPackages-total { // pk < 0: Items+s overflowed
+			return fmt.Errorf("sched: more than %d package transfers at package size %d", MaxPackages, packageSize)
 		}
+		total += pk
 	}
-	// Stage partition: one shared id array, stably sorted by order so
-	// ids of equal order keep their flow-list position, then sliced
-	// into per-stage windows — no per-order slice growth.
-	ids := make([]FlowID, len(s.flows))
-	for i := range ids {
-		ids[i] = FlowID(i)
-	}
-	sort.SliceStable(ids, func(a, b int) bool {
-		return s.flows[ids[a]].Order < s.flows[ids[b]].Order
-	})
+	s.PackageSize = packageSize
+	s.flows = flows
+	n := len(flows)
+	s.packages = slices.Grow(s.packages[:0], n)[:n]
+	s.ids = slices.Grow(s.ids[:0], n)[:n]
 	distinct := 0
-	for i := range ids {
-		if i == 0 || s.flows[ids[i]].Order != s.flows[ids[i-1]].Order {
+	for i, f := range flows {
+		s.packages[i] = f.Packages(packageSize)
+		s.ids[i] = FlowID(i)
+		if i == 0 || f.Order != flows[i-1].Order {
 			distinct++
 		}
 	}
-	s.stages = make([]Stage, 0, distinct)
-	for lo := 0; lo < len(ids); {
+	// Stage partition: the canonical flow list is sorted by order, so
+	// each stage is a window of the id array.
+	s.stages = slices.Grow(s.stages[:0], distinct)
+	for lo := 0; lo < n; {
+		st := Stage{Order: flows[lo].Order}
 		hi := lo
-		order := s.flows[ids[lo]].Order
-		for hi < len(ids) && s.flows[ids[hi]].Order == order {
+		for hi < n && flows[hi].Order == st.Order {
+			st.Packages += s.packages[hi]
 			hi++
 		}
-		s.stages = append(s.stages, Stage{Order: order, Flows: ids[lo:hi:hi]})
+		st.Flows = s.ids[lo:hi:hi]
+		s.stages = append(s.stages, st)
 		lo = hi
 	}
-	return s, nil
+	s.compile(m.NominalPackageSize(), total)
+	return nil
+}
+
+// compile builds the emission programs: each source process's flows
+// in canonical order, one entry per package.
+func (s *Schedule) compile(nominal, total int) {
+	bySrc := append(s.bySrc[:0], s.ids...)
+	s.bySrc = bySrc
+	// Stable, so a process's flows keep their canonical order — and
+	// its flows of one order stay adjacent.
+	slices.SortStableFunc(bySrc, func(a, b FlowID) int {
+		return cmp.Compare(s.flows[a].Source, s.flows[b].Source)
+	})
+	emitters := 0
+	for i, id := range bySrc {
+		if i == 0 || s.flows[id].Source != s.flows[bySrc[i-1]].Source {
+			emitters++
+		}
+	}
+	s.entries = slices.Grow(s.entries[:0], total)
+	s.programs = slices.Grow(s.programs[:0], emitters)
+	for lo := 0; lo < len(bySrc); {
+		first := s.flows[bySrc[lo]]
+		p, order := first.Source, first.Order
+		hi, os := lo, 0
+		for hi < len(bySrc) && s.flows[bySrc[hi]].Source == p && s.flows[bySrc[hi]].Order == order {
+			os += s.packages[bySrc[hi]]
+			hi++
+		}
+		if n := len(s.programs); n == 0 || s.programs[n-1].proc != p {
+			s.programs = append(s.programs, program{proc: p, lo: len(s.entries)})
+		}
+		ib, is := s.inputs(p, order)
+		stage := s.stageIndex(order)
+		k := 0
+		for _, id := range bySrc[lo:hi] {
+			f := s.flows[id]
+			for pkg := 1; pkg <= s.packages[id]; pkg++ {
+				k++
+				need := ib
+				if is > 0 && os > 0 {
+					need = ib + (k*is+os-1)/os
+				}
+				items := min(f.Items-(pkg-1)*s.PackageSize, s.PackageSize)
+				compute := int64(f.Ticks)
+				if nominal > 0 {
+					compute = (compute*int64(items) + int64(nominal) - 1) / int64(nominal)
+				}
+				s.entries = append(s.entries, Entry{
+					Flow: id, Pkg: int32(pkg), Stage: int32(stage), Need: int32(need), Items: int32(items), Compute: compute,
+				})
+			}
+		}
+		s.programs[len(s.programs)-1].hi = len(s.entries)
+		lo = hi
+	}
+}
+
+// inputs returns the input package totals process p's firing gates
+// for order are derived from: inBefore on earlier orders, inSame on
+// the same order.
+func (s *Schedule) inputs(p psdf.ProcessID, order int) (inBefore, inSame int) {
+	for i, f := range s.flows {
+		if f.Order > order {
+			break // canonical order: no later flow is earlier
+		}
+		if f.Target != p {
+			continue
+		}
+		if f.Order < order {
+			inBefore += s.packages[i]
+		} else {
+			inSame += s.packages[i]
+		}
+	}
+	return inBefore, inSame
+}
+
+// stageIndex returns the index of the stage with the given order.
+func (s *Schedule) stageIndex(order int) int {
+	i, _ := slices.BinarySearchFunc(s.stages, order, func(st Stage, order int) int {
+		return cmp.Compare(st.Order, order)
+	})
+	return i
 }
 
 // Flows returns the canonical flow list. The slice must not be
@@ -117,13 +261,7 @@ func (s *Schedule) Packages(id FlowID) int { return s.packages[id] }
 
 // TotalPackages returns the total number of package transfers in the
 // schedule.
-func (s *Schedule) TotalPackages() int {
-	n := 0
-	for _, p := range s.packages {
-		n += p
-	}
-	return n
-}
+func (s *Schedule) TotalPackages() int { return len(s.entries) }
 
 // Stages returns the ordered stage list. The slice must not be
 // mutated.
@@ -132,41 +270,18 @@ func (s *Schedule) Stages() []Stage { return s.stages }
 // NumStages returns the number of stages.
 func (s *Schedule) NumStages() int { return len(s.stages) }
 
-// InputPackages returns the total number of packages process p
-// receives over the whole execution.
-func (s *Schedule) InputPackages(p psdf.ProcessID) int { return s.inPkgs[p] }
-
-// OutputPackages returns the total number of packages process p emits
-// over the whole execution.
-func (s *Schedule) OutputPackages(p psdf.ProcessID) int { return s.outPkgs[p] }
-
-// InputsRequired returns how many input packages process p must have
-// received before it may emit its k-th output package (1-based k),
-// under proportional packet-SDF firing. Source processes (no inputs)
-// require zero.
-func (s *Schedule) InputsRequired(p psdf.ProcessID, k int) int {
-	in := s.inPkgs[p]
-	out := s.outPkgs[p]
-	if in == 0 || out == 0 {
-		return 0
+// Program returns process p's emission program, in emission order:
+// empty for a process that emits nothing. The slice is a window of
+// the schedule's shared table and must not be mutated.
+func (s *Schedule) Program(p psdf.ProcessID) []Entry {
+	i, ok := slices.BinarySearchFunc(s.programs, p, func(pr program, p psdf.ProcessID) int {
+		return cmp.Compare(pr.proc, p)
+	})
+	if !ok {
+		return nil
 	}
-	if k >= out {
-		return in
-	}
-	// ceil(k*in/out) without floating point.
-	return (k*in + out - 1) / out
-}
-
-// StageOf returns the index (into Stages) of the stage containing flow
-// id.
-func (s *Schedule) StageOf(id FlowID) int {
-	order := s.flows[id].Order
-	for i, st := range s.stages {
-		if st.Order == order {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("sched: flow %d not in any stage", id))
+	pr := s.programs[i]
+	return s.entries[pr.lo:pr.hi:pr.hi]
 }
 
 // Validate cross-checks the schedule's internal consistency. It is

@@ -35,6 +35,11 @@ go test -race -count=2 ./internal/engine
 # race-enabled rounds in fresh processes too.
 go test -race -count=2 ./internal/automata
 
+# The emulator, the exact checker and the static bounds all read the
+# emission table sched.Extract compiles; fuzz it against the verbatim
+# reference derivation (FuzzProgram) on arbitrary DSL documents.
+go test -run '^$' -fuzz '^FuzzProgram$' -fuzztime 10s ./internal/sched
+
 # Metrics golden diff: segbus-emu -metrics-json over the MP3 scenario
 # must stay byte-identical to the reviewed golden (deterministic
 # counters only; rates are excluded from this export by design).
