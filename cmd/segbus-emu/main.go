@@ -127,20 +127,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	// Pre-flight: the schemes are individually well-formed, but the
-	// pair can still disagree (mapping, roles) or carry liveness
-	// hazards. Reject with every coded finding, not just the first.
-	if pre := core.Preflight(m, plat); pre.HasErrors() {
-		for _, d := range pre.Diagnostics {
-			fmt.Fprintln(os.Stderr, d)
-			for i, line := range d.Trace {
-				fmt.Fprintf(os.Stderr, "  %4d. %s\n", i+1, line)
-			}
-		}
-		e, w, _ := pre.Counts()
-		return fmt.Errorf("model failed preflight analysis: %d error(s), %d warning(s)", e, w)
-	}
-
 	wantTrace := *timeline || *gantt || *csvPath != "" || *svgTimeline != "" || *svgActivity != "" || *showUtil || *htmlPath != "" || *jsonPath != "" || *perfettoPath != ""
 	var reg *obs.Registry
 	if *metricsJSONPath != "" || *metricsPromPath != "" {
@@ -162,9 +148,19 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	if err != nil {
-		// Aggregate coded findings (e.g. an SB050 deadlock caught at
-		// run time after an inconclusive preflight) the same way the
-		// scheme validators are reported.
+		// The schemes are individually well-formed, but the pair can
+		// still disagree (mapping, roles) or deadlock: explain the
+		// failure with every coded finding, not just the first.
+		if pre := core.Preflight(m, plat); pre.HasErrors() {
+			for _, d := range pre.Diagnostics {
+				fmt.Fprintln(os.Stderr, d)
+				for i, line := range d.Trace {
+					fmt.Fprintf(os.Stderr, "  %4d. %s\n", i+1, line)
+				}
+			}
+			e, w, _ := pre.Counts()
+			return fmt.Errorf("model failed preflight analysis: %d error(s), %d warning(s)", e, w)
+		}
 		if ds, ok := analyze.FromError(err); ok {
 			for _, d := range ds {
 				fmt.Fprintln(os.Stderr, d)

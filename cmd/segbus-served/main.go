@@ -1,6 +1,6 @@
 // segbus-served is the long-lived estimation service: the same
 // pipeline segbus-emu runs once per invocation (parse schemes →
-// preflight → emulate → report), kept hot behind HTTP so a
+// emulate → report), kept hot behind HTTP so a
 // design-space exploration can probe many candidates cheaply.
 // Repeated probes are answered from a content-addressed result cache;
 // concurrency is bounded by a worker pool with queue-full

@@ -205,11 +205,11 @@ func ByName(names ...string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// PreflightAnalyzers returns the subset suitable as a cheap gate
-// before estimation: the structural and liveness families, whose
-// error-severity findings mark models the emulator would reject or
-// deadlock on. The bounds and congestion families are advisory and
-// excluded.
+// PreflightAnalyzers returns the subset that explains a failed
+// estimation: the structural and liveness families, whose
+// error-severity findings mark exactly the models the emulator
+// rejects or deadlocks on. The bounds and congestion families are
+// advisory and excluded.
 func PreflightAnalyzers() []*Analyzer {
 	as, err := ByName("structural", "liveness")
 	if err != nil {

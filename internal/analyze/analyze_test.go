@@ -11,6 +11,7 @@ import (
 	"segbus/internal/dsl"
 	"segbus/internal/platform"
 	"segbus/internal/psdf"
+	"segbus/internal/sched"
 )
 
 func findAll(res *Result, code string) []Diagnostic {
@@ -311,7 +312,13 @@ func TestCodeTableIsSortedUniqueAndCoversEmissions(t *testing.T) {
 	collect(RunModels(apps.MP3Model(), badPlat, Options{}))
 
 	collect(RunModels(apps.MP3Model(), apps.MP3Platform3(36), Options{}))
-	collect(RunModels(apps.MP3Model(), apps.MP3Platform3(18), Options{})) // SB041
+	collect(RunModels(apps.MP3Model(), apps.MP3Platform3(18), Options{}))    // SB041
+	collect(RunModels(apps.MP3Model(), apps.MP3Platform3(1<<31), Options{})) // SB033
+	huge := psdf.NewModel("huge")
+	huge.AddFlow(psdf.Flow{Source: 0, Target: 1, Items: sched.MaxPackages + 1, Order: 1, Ticks: 5})
+	hugePlat := platform.New("huge-plat", 100*platform.MHz, 1)
+	hugePlat.AddSegment(100*platform.MHz, 0, 1)
+	collect(RunModels(huge, hugePlat, Options{})) // SB034
 
 	for _, d := range emitted {
 		if !seen[d.Code] {

@@ -38,6 +38,9 @@ func CodeTable() []CodeInfo {
 		{"SB030", SeverityError, "platform hosts a process that is not part of the application"},
 		{"SB031", SeverityError, "flow source's FU has no master interface"},
 		{"SB032", SeverityError, "flow target's FU has no slave interface"},
+		// Structural: schedule input limits (internal/sched).
+		{"SB033", SeverityError, "package size of 2³¹ or more"},
+		{"SB034", SeverityError, "more than 2²⁴ package transfers at the platform's package size"},
 		// Structural: DSL-level consistency (internal/dsl).
 		{"SB040", SeverityError, "declared stereotype contradicts the flow structure"},
 		{"SB041", SeverityWarning, "platform package size differs from the model's nominal"},

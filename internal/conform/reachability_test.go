@@ -2,9 +2,13 @@ package conform
 
 import (
 	"errors"
+	"path/filepath"
 	"testing"
 
+	"segbus/internal/analyze"
 	"segbus/internal/automata"
+	"segbus/internal/core"
+	"segbus/internal/dsl"
 	"segbus/internal/emulator"
 	"segbus/internal/platform"
 	"segbus/internal/psdf"
@@ -44,11 +48,60 @@ func TestReachabilityAgreement(t *testing.T) {
 	t.Logf("checked %d models, %d deadlocking", checked, deadlocks)
 }
 
-// agreeOnce compares the checker and the emulator on one model pair,
-// returning 1 when the comparison was conclusive and 0 when the model
-// is outside the checker's domain (invalid or over budget).
+// TestPreflightMatchesEmulation is the premise of running the
+// preflight analyzers only after a failure: core.Preflight finds an
+// error exactly when the emulation fails. agreeOnce asserts it on
+// every pair above; here it also meets the scenario corpus, the
+// deadlock gallery and an unmapped-process mutant, so the structural
+// side (SB029) is exercised too.
+func TestPreflightMatchesEmulation(t *testing.T) {
+	var docs []*dsl.Document
+	for _, dir := range []string{"scenarios", filepath.Join("scenarios", "deadlock")} {
+		ds, err := LoadCorpusDir(filepath.Join("..", "..", "testdata", dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, ds...)
+	}
+	deadlocks := 0
+	for _, doc := range docs {
+		agreeOnce(t, doc.Model, doc.Platform, &deadlocks)
+	}
+	if deadlocks < 2 {
+		t.Errorf("%d scenario(s) deadlocked, want the two of the deadlock gallery", deadlocks)
+	}
+
+	// A sink process the platform does not host: validation fails
+	// before any emulation, and preflight must say so with SB029.
+	mut := cloneDoc(docs[0])
+	f := mut.Model.Flows()[0]
+	mut.Model.AddFlow(psdf.Flow{Source: f.Target, Target: 99, Items: f.Items, Order: f.Order + 1, Ticks: 3})
+	agreeOnce(t, mut.Model, mut.Platform, &deadlocks)
+	if !hasCode(core.Preflight(mut.Model, mut.Platform), "SB029") {
+		t.Error("preflight does not report the unmapped process as SB029")
+	}
+}
+
+// hasCode reports whether res carries a finding with the given code.
+func hasCode(res *analyze.Result, code string) bool {
+	for _, d := range res.Diagnostics {
+		if d.Code == code {
+			return true
+		}
+	}
+	return false
+}
+
+// agreeOnce asserts that core.Preflight finds an error exactly when
+// the emulation fails, then compares the checker and the emulator on
+// the pair, returning 1 when that comparison was conclusive and 0 when
+// the model is outside the checker's domain (invalid or over budget).
 func agreeOnce(t *testing.T, m *psdf.Model, plat *platform.Platform, deadlocks *int) int {
 	t.Helper()
+	_, emuErr := emulator.Run(m, plat, emulator.Config{})
+	if pre := core.Preflight(m, plat); pre.HasErrors() != (emuErr != nil) {
+		t.Fatalf("%s: preflight errors=%v but emulation error=%v\n%s", m.Name(), pre.HasErrors(), emuErr, pre)
+	}
 	sys, err := automata.Compile(m, plat)
 	if err != nil {
 		return 0
@@ -57,7 +110,6 @@ func agreeOnce(t *testing.T, m *psdf.Model, plat *platform.Platform, deadlocks *
 	if res.Verdict == automata.Inconclusive {
 		return 0
 	}
-	_, emuErr := emulator.Run(m, plat, emulator.Config{})
 	var dl *emulator.DeadlockError
 	emuDeadlock := errors.As(emuErr, &dl)
 	if emuErr != nil && !emuDeadlock {

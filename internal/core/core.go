@@ -55,37 +55,12 @@ type Options struct {
 	// Metrics, when non-nil, receives the run's monitoring counters
 	// (see emulator.Config.Metrics).
 	Metrics *obs.Registry
-
-	// Preflight runs the static structural and liveness analyzers
-	// before spending emulation time; error-severity findings abort
-	// the estimation with a PreflightError carrying every coded
-	// diagnostic.
-	Preflight bool
-}
-
-// PreflightError reports that the static pre-flight analysis rejected
-// the model pair before emulation. Result carries the full coded
-// diagnostics for display or JSON output.
-type PreflightError struct {
-	Result *analyze.Result
-}
-
-// Error implements the error interface with the aggregated findings.
-func (e *PreflightError) Error() string {
-	errs, _, _ := e.Result.Counts()
-	s := fmt.Sprintf("core: preflight found %d error(s)", errs)
-	for _, d := range e.Result.Diagnostics {
-		if d.Severity == analyze.SeverityError {
-			s += "; " + d.String()
-		}
-	}
-	return s
 }
 
 // Preflight runs the static structural and liveness analyzers on a
-// model pair — the cheap gate every tool can apply before an
-// emulation or exploration run. plat may be nil to check a bare
-// application model.
+// model pair. They find an error exactly when estimation fails, so
+// the front ends run Preflight only to explain a failure. plat may be
+// nil to check a bare application model.
 func Preflight(m *psdf.Model, plat *platform.Platform) *analyze.Result {
 	return analyze.RunModels(m, plat, analyze.Options{
 		Analyzers: analyze.PreflightAnalyzers(),
@@ -119,7 +94,7 @@ func (o Options) emulatorConfig(tr *trace.Trace) emulator.Config {
 
 // Estimate runs the estimation technique on in-memory models.
 func Estimate(m *psdf.Model, plat *platform.Platform, opts Options) (*Estimation, error) {
-	return estimate(nil, m, plat, opts)
+	return EstimateOn(emulator.NewMachine(), m, plat, opts)
 }
 
 // EstimateOn runs the estimation technique on a caller-provided
@@ -129,29 +104,11 @@ func Estimate(m *psdf.Model, plat *platform.Platform, opts Options) (*Estimation
 // storage is reused. The machine must not be in use by another
 // goroutine.
 func EstimateOn(mc *emulator.Machine, m *psdf.Model, plat *platform.Platform, opts Options) (*Estimation, error) {
-	return estimate(mc, m, plat, opts)
-}
-
-// estimate is the shared body of Estimate and EstimateOn: mc == nil
-// runs on a fresh machine.
-func estimate(mc *emulator.Machine, m *psdf.Model, plat *platform.Platform, opts Options) (*Estimation, error) {
-	if opts.Preflight {
-		if res := Preflight(m, plat); res.HasErrors() {
-			return nil, &PreflightError{Result: res}
-		}
-	}
 	var tr *trace.Trace
 	if opts.Trace {
 		tr = &trace.Trace{}
 	}
-	cfg := opts.emulatorConfig(tr)
-	var r *emulator.Report
-	var err error
-	if mc != nil {
-		r, err = mc.Run(m, plat, cfg)
-	} else {
-		r, err = emulator.Run(m, plat, cfg)
-	}
+	r, err := mc.Run(m, plat, opts.emulatorConfig(tr))
 	if err != nil {
 		return nil, err
 	}

@@ -43,39 +43,41 @@ func TestEstimatePropagatesValidation(t *testing.T) {
 	}
 }
 
-func TestPreflightGatesEstimate(t *testing.T) {
-	// A same-stage cycle with all inputs inside the cycle: preflight
-	// must reject it and carry the liveness SB101 deadlock finding
-	// alongside the structural ones.
+func TestPreflightExplainsFailedEstimate(t *testing.T) {
+	// A same-stage cycle with all inputs inside the cycle: the
+	// emulation fails, and preflight — run afterwards to explain the
+	// failure — carries the liveness SB101 deadlock finding.
 	m := psdf.NewModel("deadlock")
 	m.AddFlow(psdf.Flow{Source: 0, Target: 1, Items: 36, Order: 1, Ticks: 5})
 	m.AddFlow(psdf.Flow{Source: 1, Target: 0, Items: 36, Order: 1, Ticks: 5})
 	plat := platform.New("p", 100*platform.MHz, 36)
 	plat.AddSegment(100*platform.MHz, 0, 1)
 
-	_, err := Estimate(m, plat, Options{Preflight: true})
-	perr, ok := err.(*PreflightError)
-	if !ok {
-		t.Fatalf("err = %v, want *PreflightError", err)
+	if _, err := Estimate(m, plat, Options{}); err == nil {
+		t.Fatal("Estimate accepted a same-stage cycle")
 	}
-	if !strings.Contains(perr.Error(), "SB101") {
-		t.Errorf("preflight error lacks the cycle code: %v", perr)
+	res := Preflight(m, plat)
+	if !res.HasErrors() {
+		t.Fatalf("preflight finds no error in a pair the emulation rejects:\n%s", res)
 	}
 	found := false
-	for _, d := range perr.Result.Diagnostics {
+	for _, d := range res.Diagnostics {
 		if d.Code == "SB101" {
 			found = true
 		}
 	}
 	if !found {
-		t.Error("PreflightError.Result does not carry the SB101 finding")
+		t.Errorf("preflight does not carry the SB101 finding:\n%s", res)
 	}
 }
 
 func TestPreflightPassesCleanModel(t *testing.T) {
-	est, err := Estimate(apps.MP3Model(), apps.MP3Platform3(36), Options{Preflight: true})
+	est, err := Estimate(apps.MP3Model(), apps.MP3Platform3(36), Options{})
 	if err != nil || est == nil {
-		t.Fatalf("clean model rejected by preflight: %v", err)
+		t.Fatalf("clean model failed to estimate: %v", err)
+	}
+	if res := Preflight(apps.MP3Model(), apps.MP3Platform3(36)); res.HasErrors() {
+		t.Errorf("estimable MP3 pair fails preflight:\n%s", res)
 	}
 	res := Preflight(apps.MP3Model(), nil)
 	if res.HasErrors() {

@@ -61,17 +61,19 @@ func TestEstimateOnHonoursOptions(t *testing.T) {
 		t.Error("EstimateOn produced no BU analysis")
 	}
 
-	// Preflight still gates the pooled path: the same-stage cycle
-	// Estimate rejects (SB101) must be rejected before the machine is
-	// touched.
+	// The pooled path rejects what Estimate rejects: the same-stage
+	// cycle deadlocks on a reused machine too, with the same error.
 	bad := psdf.NewModel("deadlock")
 	bad.AddFlow(psdf.Flow{Source: 0, Target: 1, Items: 36, Order: 1, Ticks: 5})
 	bad.AddFlow(psdf.Flow{Source: 1, Target: 0, Items: 36, Order: 1, Ticks: 5})
 	pb := platform.New("p", 100*platform.MHz, 36)
 	pb.AddSegment(100*platform.MHz, 0, 1)
-	if _, err := EstimateOn(mc, bad, pb, Options{Preflight: true}); err == nil {
-		t.Error("EstimateOn with Preflight accepted a model Estimate rejects")
-	} else if _, ok := err.(*PreflightError); !ok {
-		t.Errorf("EstimateOn preflight error has type %T, want *PreflightError", err)
+	_, want := Estimate(bad, pb, Options{})
+	_, got := EstimateOn(mc, bad, pb, Options{})
+	if want == nil || got == nil {
+		t.Fatalf("same-stage cycle accepted: Estimate err %v, EstimateOn err %v", want, got)
+	}
+	if got.Error() != want.Error() {
+		t.Errorf("EstimateOn error %q, Estimate error %q", got, want)
 	}
 }

@@ -14,8 +14,7 @@ import (
 // textual form. Side-channel fields (Trace, Observer, Metrics) are
 // excluded on purpose: they record how a run is watched, not what it
 // computes, so two runs differing only in them produce byte-identical
-// reports. Preflight is likewise excluded — it can only veto a run,
-// never change its result.
+// reports.
 func (o Options) Fingerprint() string {
 	return fmt.Sprintf("detect=%d;policy=%d;grant=%d;sync=%d;caset=%d;careset=%d",
 		o.DetectTicks, o.Policy,
@@ -46,7 +45,7 @@ func Key(m *psdf.Model, plat *platform.Platform, opts Options) (string, error) {
 
 // Runner is a reusable estimation front end: one fixed option set
 // applied to many model pairs, as a long-lived service does. The zero
-// value runs the paper's estimation model with no preflight; a Runner
+// value runs the paper's estimation model; a Runner
 // is safe for concurrent use when its Options are (the shared Metrics
 // registry and Observer, if any, must tolerate concurrent runs —
 // *obs.Registry does).

@@ -7,6 +7,7 @@ import (
 
 	"segbus/internal/apps"
 	"segbus/internal/emulator"
+	"segbus/internal/obs"
 )
 
 func TestKeyDeterministic(t *testing.T) {
@@ -65,17 +66,17 @@ func TestKeyIgnoresSideChannels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withSide, err := Key(m, p, Options{Trace: true, Preflight: true})
+	withSide, err := Key(m, p, Options{Trace: true, Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base != withSide {
-		t.Error("trace/preflight side channels leaked into the cache key")
+		t.Error("trace/metrics side channels leaked into the cache key")
 	}
 }
 
 func TestRunnerReportJSONDeterministic(t *testing.T) {
-	r := NewRunner(Options{Preflight: true})
+	r := NewRunner(Options{})
 	m := apps.MP3Model()
 	p := apps.MP3Platform3(36)
 	a, err := r.ReportJSON(m, p)
@@ -95,11 +96,16 @@ func TestRunnerReportJSONDeterministic(t *testing.T) {
 }
 
 func TestRunnerPreflightRejects(t *testing.T) {
-	r := NewRunner(Options{Preflight: true})
+	// The runner emulates without a gate; the pair must still fail,
+	// and preflight must explain the failure.
+	r := NewRunner(Options{})
 	m := apps.MP3Model()
 	p := apps.MP3Platform3(36)
 	p.Segments[0].FUs = nil // empty segment: SB027
 	if _, err := r.ReportJSON(m, p); err == nil {
-		t.Fatal("preflight accepted an empty segment")
+		t.Fatal("runner accepted an empty segment")
+	}
+	if !Preflight(m, p).HasErrors() {
+		t.Error("preflight finds no error in an empty segment")
 	}
 }

@@ -95,6 +95,35 @@ const MaxPackages = 1 << 24
 // maxPackageSize is the largest package size an Entry's Items holds.
 const maxPackageSize = math.MaxInt32
 
+// Stable diagnostic codes of Extract's input limits.
+const (
+	CodePackageSizeLimit = "SB033" // package size of 2³¹ or more
+	CodePackageLimit     = "SB034" // more than MaxPackages package transfers
+)
+
+// LimitError reports an input past one of Extract's limits.
+type LimitError struct{ Code, Message string }
+
+// Error implements the error interface.
+func (e *LimitError) Error() string { return "sched: " + e.Message }
+
+// CheckLimits returns a *LimitError when Extract refuses flows at the
+// given positive package size, and nil otherwise.
+func CheckLimits(flows []psdf.Flow, packageSize int) error {
+	if packageSize > maxPackageSize {
+		return &LimitError{CodePackageSizeLimit, fmt.Sprintf("package size %d exceeds %d", packageSize, maxPackageSize)}
+	}
+	total := 0
+	for _, f := range flows {
+		pk := f.Packages(packageSize)
+		if pk < 0 || pk > MaxPackages-total { // pk < 0: Items+s overflowed
+			return &LimitError{CodePackageLimit, fmt.Sprintf("more than %d package transfers at package size %d", MaxPackages, packageSize)}
+		}
+		total += pk
+	}
+	return nil
+}
+
 // Extract builds the schedule of model m for the given package size
 // and compiles its emission programs. A package carries PackageSize
 // items except for a flow's partial tail; its compute ticks are the
@@ -120,26 +149,19 @@ func (s *Schedule) Reset(m *psdf.Model, packageSize int) error {
 	if packageSize <= 0 {
 		return fmt.Errorf("sched: non-positive package size %d", packageSize)
 	}
-	if packageSize > maxPackageSize {
-		return fmt.Errorf("sched: package size %d exceeds %d", packageSize, maxPackageSize)
-	}
 	flows := m.Flows()
-	total := 0
-	for _, f := range flows {
-		pk := f.Packages(packageSize)
-		if pk < 0 || pk > MaxPackages-total { // pk < 0: Items+s overflowed
-			return fmt.Errorf("sched: more than %d package transfers at package size %d", MaxPackages, packageSize)
-		}
-		total += pk
+	if err := CheckLimits(flows, packageSize); err != nil {
+		return err
 	}
 	s.PackageSize = packageSize
 	s.flows = flows
 	n := len(flows)
 	s.packages = slices.Grow(s.packages[:0], n)[:n]
 	s.ids = slices.Grow(s.ids[:0], n)[:n]
-	distinct := 0
+	distinct, total := 0, 0
 	for i, f := range flows {
 		s.packages[i] = f.Packages(packageSize)
+		total += s.packages[i]
 		s.ids[i] = FlowID(i)
 		if i == 0 || f.Order != flows[i-1].Order {
 			distinct++

@@ -45,7 +45,8 @@ type BatchResponse struct {
 // handleBatch is the batch endpoint: decode the envelope, parse every
 // item on the request goroutine, deduplicate by content key, fan the
 // unique keys out through the shared pipeline (cache → single-flight
-// → pool) and reassemble per-item results in input order.
+// → pool) and reassemble per-item results in input order. A broken
+// model costs a worker slot like any other unique item.
 //
 // Admission is per unique item: when the pool saturates mid-batch,
 // the rejected items come back as per-item 429s while their admitted
@@ -82,8 +83,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.BatchItems.Add(int64(len(req.Items)))
 
-	// Parse and gate every item inline (cheap, and rejects must not
-	// cost worker slots), grouping the survivors by content key so a
+	// Parse every item inline, grouping them by content key so a
 	// batch full of duplicates costs one emulation.
 	//
 	// Tracing: every item opens its own "item" span carrying its index.

@@ -60,9 +60,10 @@ func TestDifferentialServiceVsCLI(t *testing.T) {
 			skipped++
 			continue
 		}
-		// Preflight can reject generated pairs the plain emulation
-		// accepts; the CLI (segbus-emu) applies the same gate, so a
-		// coded SB902 on both sides still agrees.
+		// Preflight finds an error exactly when the emulation fails
+		// (conform's TestPreflightMatchesEmulation), so a pair it
+		// rejects fails in segbus-emu too; the service explains that
+		// failure with a coded SB902.
 		if pre := core.Preflight(c.Doc.Model, c.Doc.Platform); pre.HasErrors() {
 			if rec.Code != http.StatusBadRequest {
 				t.Fatalf("case %d (%s): preflight-failing case got status %d", i, c.Origin, rec.Code)

@@ -12,7 +12,7 @@ import (
 // request fields, populated whenever a single-estimate request earns
 // a 200. A client replaying an identical request body — the common
 // shape of design-space probing loops and dashboard refreshes — is
-// answered before any XML parsing, canonicalisation or preflight
+// answered before any XML parsing, canonicalisation or emulation
 // work happens: one hash over bytes already in memory, one map
 // lookup, one pre-serialized []byte.
 //

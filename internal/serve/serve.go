@@ -70,8 +70,8 @@ const (
 	// scheme was well-formed XML describing a broken model.
 	CodeBadScheme = "SB901"
 
-	// CodeBadModel marks a model pair rejected by the static
-	// preflight analysis; Diagnostics carries the SB0xx findings.
+	// CodeBadModel marks a failed model pair the preflight analysis
+	// explains; Diagnostics carries the SB0xx findings.
 	CodeBadModel = "SB902"
 
 	// CodeQueueFull marks a request shed because the worker pool had
@@ -86,8 +86,8 @@ const (
 	// shutting down (HTTP 503).
 	CodeDraining = "SB905"
 
-	// CodeInternal marks an emulation failure on a model pair that
-	// passed validation and preflight (HTTP 500).
+	// CodeInternal marks a failure on a model pair the preflight
+	// analysis finds no error in (HTTP 500).
 	CodeInternal = "SB906"
 )
 
@@ -429,12 +429,11 @@ type parsed struct {
 }
 
 // parseRequest decodes one estimate request into its parsed form:
-// scheme parsing, option resolution, the preflight gate and key
-// derivation, all on the request goroutine — rejecting a broken pair
-// must not cost a worker slot. A non-zero outcome status reports the
-// rejection. The work lands in two spans under parent: "parse"
-// (schemes, options, preflight; a rejection terminates it with the
-// SB9xx code attached) and "fingerprint" (canonical key derivation).
+// scheme parsing, option resolution and key derivation, all on the
+// request goroutine. A non-zero outcome status reports the rejection.
+// The work lands in two spans under parent: "parse" (schemes,
+// options; a rejection terminates it with the SB9xx code attached)
+// and "fingerprint" (canonical key derivation).
 func (s *Server) parseRequest(tr *reqtrace.Trace, parent reqtrace.SpanID, req *EstimateRequest) (*parsed, outcome) {
 	sp := tr.Child(parent, "parse")
 	pr, out := s.decodeRequest(req)
@@ -448,17 +447,18 @@ func (s *Server) parseRequest(tr *reqtrace.Trace, parent reqtrace.SpanID, req *E
 	sp = tr.Child(parent, "fingerprint")
 	key, err := pr.runner.Key(pr.m, pr.plat)
 	if err != nil {
-		tr.Attr(sp, "code", CodeInternal)
+		out := explainFailure(pr, "canonicalize: "+err.Error())
+		tr.Attr(sp, "code", out.code)
 		tr.End(sp)
-		return nil, errOutcome(http.StatusInternalServerError, CodeInternal, "canonicalize: "+err.Error(), nil)
+		return nil, out
 	}
 	tr.End(sp)
 	pr.key = key
 	return pr, outcome{}
 }
 
-// decodeRequest is parseRequest's untraced core: schemes, options and
-// the preflight gate, everything except key derivation.
+// decodeRequest is parseRequest's untraced core: schemes and options,
+// everything except key derivation.
 func (s *Server) decodeRequest(req *EstimateRequest) (*parsed, outcome) {
 	if req.PSDF == "" || req.PSM == "" {
 		return nil, errOutcome(http.StatusBadRequest, CodeBadRequest, "psdf and psm schemes are required", nil)
@@ -489,13 +489,20 @@ func (s *Server) decodeRequest(req *EstimateRequest) (*parsed, outcome) {
 			CAResetTicks: req.Overheads.CAResetTicks,
 		}
 	}
-	if pre := core.Preflight(m, plat); pre.HasErrors() {
+	return &parsed{m: m, plat: plat, runner: core.NewRunner(opts)}, outcome{}
+}
+
+// explainFailure classifies a pair that failed to canonicalize or
+// emulate: a coded 400 when the preflight analyzers, run only here,
+// find errors, and a 500 with msg otherwise.
+func explainFailure(pr *parsed, msg string) outcome {
+	if pre := core.Preflight(pr.m, pr.plat); pre.HasErrors() {
 		e, warns, _ := pre.Counts()
-		return nil, errOutcome(http.StatusBadRequest, CodeBadModel,
+		return errOutcome(http.StatusBadRequest, CodeBadModel,
 			fmt.Sprintf("preflight found %d error(s), %d warning(s)", e, warns),
 			pre.Diagnostics)
 	}
-	return &parsed{m: m, plat: plat, runner: core.NewRunner(opts)}, outcome{}
+	return errOutcome(http.StatusInternalServerError, CodeInternal, msg, nil)
 }
 
 // estimate serves one parsed request through the shared pipeline:
@@ -623,11 +630,7 @@ func (s *Server) emulate(ctx context.Context, tr *reqtrace.Trace, parent reqtrac
 		return errOutcome(http.StatusGatewayTimeout, CodeDeadline, "request abandoned before a worker was free: "+err.Error(), nil)
 	}
 	if runErr != nil {
-		var pf *core.PreflightError
-		if errors.As(runErr, &pf) {
-			return errOutcome(http.StatusBadRequest, CodeBadModel, runErr.Error(), pf.Result.Diagnostics)
-		}
-		return errOutcome(http.StatusInternalServerError, CodeInternal, "emulation: "+runErr.Error(), nil)
+		return explainFailure(pr, "emulation: "+runErr.Error())
 	}
 	if evicted := s.cache.Put(pr.key, body); evicted {
 		s.metrics.CacheEvictions.Inc()

@@ -40,6 +40,11 @@ go test -race -count=2 ./internal/automata
 # reference derivation (FuzzProgram) on arbitrary DSL documents.
 go test -run '^$' -fuzz '^FuzzProgram$' -fuzztime 10s ./internal/sched
 
+# The serving and CLI front ends run the preflight analyzers only after
+# an emulation fails, on the premise that they find an error exactly
+# when it does; fuzz that equivalence on arbitrary DSL documents.
+go test -run '^$' -fuzz '^FuzzPreflightMatchesEmulation$' -fuzztime 10s ./internal/analyze
+
 # Metrics golden diff: segbus-emu -metrics-json over the MP3 scenario
 # must stay byte-identical to the reviewed golden (deterministic
 # counters only; rates are excluded from this export by design).
