@@ -7,9 +7,10 @@
 //
 //   - structural: the dsl/psdf/platform well-formedness validators,
 //     surfaced behind their stable codes (SB001–SB041);
-//   - liveness: flow-dependency cycles within one schedule stage,
-//     T-order contradictions, and processes that can never feed a
-//     final node (SB101–SB103);
+//   - liveness: exact deadlock reachability (SB050–SB052), with
+//     flow-dependency cycles within one schedule stage as the fallback
+//     for models too large to check exactly, T-order contradictions,
+//     and processes that can never feed a final node (SB101–SB103);
 //   - bounds: static per-segment bus loads, CA circuit set-up load,
 //     and a critical-path lower / full-serialization upper bound on
 //     the execution time, proven against the emulator by property

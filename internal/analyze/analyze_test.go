@@ -97,35 +97,89 @@ func TestPlatformAnalyzersSkippedWithoutPlatform(t *testing.T) {
 	}
 }
 
+// TestLivenessClosedCycleIsError: a same-stage cycle whose members
+// take every input from each other is unreachable from any initial
+// node, an SB009 error of the structural validator; once seeded from
+// outside it compiles, and the exact checker decides it (SB050 with
+// its counterexample). SB101 stays silent on both.
 func TestLivenessClosedCycleIsError(t *testing.T) {
 	m := psdf.NewModel("closed-cycle")
 	m.AddFlow(psdf.Flow{Source: 0, Target: 1, Items: 36, Order: 1, Ticks: 5})
 	m.AddFlow(psdf.Flow{Source: 1, Target: 0, Items: 36, Order: 1, Ticks: 5})
 	res := RunModels(m, nil, Options{})
+	if len(findAll(res, psdf.CodeUnreachable)) != 2 {
+		t.Errorf("want SB009 for both cycle members, got:\n%s", res)
+	}
+	if len(findAll(res, CodeStageCycle)) != 0 {
+		t.Errorf("SB101 reported next to the structural error:\n%s", res)
+	}
+
+	m.AddFlow(psdf.Flow{Source: 2, Target: 0, Items: 36, Order: 0, Ticks: 5})
+	res = RunModels(m, nil, Options{})
+	dl := findAll(res, CodeDeadlockState)
+	if len(dl) != 1 || dl[0].Severity != SeverityError || len(dl[0].Trace) == 0 {
+		t.Fatalf("want one SB050 error with a trace, got:\n%s", res)
+	}
+	if n := len(findAll(res, CodeStageCycle)) + len(findAll(res, CodeTooLarge)); n != 0 {
+		t.Errorf("SB101/SB052 reported for a model the exact checker decided:\n%s", res)
+	}
+}
+
+// TestLivenessEscapableCycleIsWarning: on a model too large for the
+// exact checker, the same-stage cycle is reported as an SB101 warning
+// next to the SB052 note, and claims no verdict.
+func TestLivenessEscapableCycleIsWarning(t *testing.T) {
+	m := psdf.NewModel("escapable-cycle")
+	m.AddFlow(psdf.Flow{Source: 2, Target: 0, Items: 20000, Order: 0, Ticks: 5})
+	m.AddFlow(psdf.Flow{Source: 0, Target: 1, Items: 20000, Order: 1, Ticks: 5})
+	m.AddFlow(psdf.Flow{Source: 1, Target: 0, Items: 20000, Order: 1, Ticks: 5})
+	res := RunModels(m, nil, Options{})
+	if len(findAll(res, CodeTooLarge)) != 1 {
+		t.Fatalf("want one SB052, got:\n%s", res)
+	}
 	cycles := findAll(res, CodeStageCycle)
 	if len(cycles) != 1 {
 		t.Fatalf("want one SB101, got:\n%s", res)
 	}
-	if cycles[0].Severity != SeverityError {
-		t.Errorf("closed cycle severity = %v, want error", cycles[0].Severity)
+	if cycles[0].Severity != SeverityWarning {
+		t.Errorf("cycle severity = %v, want warning", cycles[0].Severity)
 	}
 	if !strings.Contains(cycles[0].Message, "P0 -> P1") {
 		t.Errorf("cycle members missing from %q", cycles[0].Message)
 	}
 }
 
-func TestLivenessEscapableCycleIsWarning(t *testing.T) {
-	m := psdf.NewModel("escapable-cycle")
-	m.AddFlow(psdf.Flow{Source: 2, Target: 0, Items: 36, Order: 0, Ticks: 5})
-	m.AddFlow(psdf.Flow{Source: 0, Target: 1, Items: 36, Order: 1, Ticks: 5})
-	m.AddFlow(psdf.Flow{Source: 1, Target: 0, Items: 36, Order: 1, Ticks: 5})
-	res := RunModels(m, nil, Options{})
-	cycles := findAll(res, CodeStageCycle)
-	if len(cycles) != 1 {
-		t.Fatalf("want one SB101, got:\n%s", res)
+// TestExactCheckerEncodingLimit pins the boundary between the two
+// deadlock authorities: a cyclic model of exactly 2^15 packages is
+// decided by the exact checker (SB050), one more package makes it too
+// large (SB052) and the SB101 warning takes over.
+func TestExactCheckerEncodingLimit(t *testing.T) {
+	// cyclic builds the cyclic-2seg shape at package size 1: a seed
+	// stage of seed packages, then P0 and P1 feeding each other.
+	cyclic := func(seed int) *psdf.Model {
+		m := psdf.NewModel("cyclic")
+		m.AddFlow(psdf.Flow{Source: 3, Target: 0, Items: seed, Order: 1, Ticks: 5})
+		m.AddFlow(psdf.Flow{Source: 0, Target: 1, Items: 16383, Order: 2, Ticks: 5})
+		m.AddFlow(psdf.Flow{Source: 1, Target: 0, Items: 16383, Order: 2, Ticks: 5})
+		return m
 	}
-	if cycles[0].Severity != SeverityWarning {
-		t.Errorf("escapable cycle severity = %v, want warning", cycles[0].Severity)
+
+	at := cyclic(2)
+	if n := at.TotalPackages(1); n != 1<<15 {
+		t.Fatalf("model has %d packages, want 2^15", n)
+	}
+	res := RunModels(at, nil, Options{})
+	if len(findAll(res, CodeDeadlockState)) != 1 || len(findAll(res, CodeTooLarge)) != 0 || len(findAll(res, CodeStageCycle)) != 0 {
+		t.Errorf("2^15 packages: want SB050 from the exact checker, no SB052/SB101:\n%s", res)
+	}
+
+	over := cyclic(3)
+	res = RunModels(over, nil, Options{})
+	if res.HasErrors() || len(findAll(res, CodeTooLarge)) != 1 {
+		t.Errorf("2^15+1 packages: want SB052 and no error:\n%s", res)
+	}
+	if cycles := findAll(res, CodeStageCycle); len(cycles) != 1 || cycles[0].Severity != SeverityWarning {
+		t.Errorf("2^15+1 packages: want one SB101 warning:\n%s", res)
 	}
 }
 

@@ -45,11 +45,11 @@ func CodeTable() []CodeInfo {
 		{"SB040", SeverityError, "declared stereotype contradicts the flow structure"},
 		{"SB041", SeverityWarning, "platform package size differs from the model's nominal"},
 		// Exact reachability (communicating-automata product).
-		{"SB050", SeverityError, "schedule reaches a deadlock state (minimal counterexample attached; see -why SB050)"},
+		{"SB050", SeverityError, "schedule reaches a deadlock state (exact checker: minimal counterexample attached, see -why SB050; oversized models: the emulation's stall report)"},
 		{"SB051", SeverityError, "process can never fire: its first emission's gate is unsatisfiable in every run"},
-		{"SB052", SeverityInfo, "exact reachability analysis exhausted its state budget; verdict inconclusive, heuristics apply"},
+		{"SB052", SeverityInfo, "model too large for exact reachability analysis; skipped, SB101 applies"},
 		// Liveness.
-		{"SB101", SeverityError, "flows of one ordering number form a dependency cycle (error when it provably deadlocks, warning otherwise)"},
+		{"SB101", SeverityWarning, "flows of one ordering number form a dependency cycle (reported only when exact analysis is skipped, SB052)"},
 		{"SB102", SeverityWarning, "input flow arrives after its target's last emission"},
 		{"SB103", SeverityWarning, "no flow path from the process reaches a final node"},
 		// Static performance bounds.

@@ -10,11 +10,10 @@ import (
 // Stable diagnostic codes of the liveness analyzer.
 const (
 	// CodeStageCycle flags a dependency cycle among flows sharing one
-	// ordering number. Severity is graded: when every cycle member's
-	// entire input set originates inside the cycle the schedule
-	// provably deadlocks (error); otherwise packages arriving from
-	// outside the cycle may satisfy the proportional firing gates and
-	// break the wait, so the cycle is only suspicious (warning).
+	// ordering number (warning): the members' firing gates wait on
+	// each other's packages, so the stage may stall. It is reported
+	// only for models too large for the exact checker (SB052), which
+	// decides every other model.
 	CodeStageCycle = "SB101"
 
 	// CodeLateInput flags an input flow ordered after every emission
@@ -29,24 +28,22 @@ const (
 
 // The liveness analyzer inspects the flow dependency structure that
 // the schedule extraction (package sched) and the emulator's firing
-// gates enforce: same-stage dependency cycles that deadlock or stall,
-// T-order contradictions, and processes whose results can never reach
-// a FinalNode. It runs on a bare PSDF model; no platform is needed.
-// On valid models it additionally delegates to the exact reachability
-// checker (internal/automata), which decides deadlock-versus-
-// termination by exhaustive product exploration (SB050–SB052) where
-// the structural heuristics can only grade suspicion.
+// gates enforce: T-order contradictions, processes whose results can
+// never reach a FinalNode, and deadlock. Deadlock is decided by the
+// exact reachability checker (internal/automata, SB050–SB052); only
+// a model too large for it falls back to the same-stage-cycle
+// heuristic (SB101). It runs on a bare PSDF model; no platform is
+// needed.
 func init() {
 	Register(&Analyzer{
 		Name: "liveness",
-		Doc:  "same-stage dependency cycles, T-order contradictions, unobservable processes, exact deadlock reachability",
+		Doc:  "T-order contradictions, unobservable processes, exact deadlock reachability (same-stage cycles when too large)",
 		Run:  runLiveness,
 	})
 }
 
 func runLiveness(pass *Pass) {
 	m := pass.Model
-	checkStageCycles(pass, m)
 	checkLateInputs(pass, m)
 	checkFeedsFinal(pass, m)
 	checkExactReachability(pass)
@@ -56,7 +53,9 @@ func runLiveness(pass *Pass) {
 // stage. All flows of a stage may run concurrently, but a process's
 // emissions are gated on its received input packages; processes
 // feeding each other within the same stage can therefore wait on one
-// another.
+// another. Whether they actually stall depends on the package
+// arithmetic, which only the exact checker or the emulation settles,
+// so every cycle is a warning.
 func checkStageCycles(pass *Pass, m *psdf.Model) {
 	byOrder := make(map[int]map[psdf.ProcessID][]psdf.ProcessID)
 	for _, f := range m.Flows() {
@@ -71,18 +70,6 @@ func checkStageCycles(pass *Pass, m *psdf.Model) {
 		adj[f.Source] = append(adj[f.Source], f.Target)
 	}
 
-	// Input orders per process, to grade cycle severity.
-	inOrders := make(map[psdf.ProcessID]map[int][]psdf.ProcessID)
-	for _, f := range m.Flows() {
-		if f.Target == psdf.SystemOutput {
-			continue
-		}
-		if inOrders[f.Target] == nil {
-			inOrders[f.Target] = make(map[int][]psdf.ProcessID)
-		}
-		inOrders[f.Target][f.Order] = append(inOrders[f.Target][f.Order], f.Source)
-	}
-
 	orders := make([]int, 0, len(byOrder))
 	for t := range byOrder {
 		orders = append(orders, t)
@@ -91,40 +78,13 @@ func checkStageCycles(pass *Pass, m *psdf.Model) {
 
 	for _, t := range orders {
 		for _, cycle := range stronglyConnected(byOrder[t]) {
-			if len(cycle) < 2 {
-				continue
-			}
-			members := make(map[psdf.ProcessID]bool, len(cycle))
-			for _, p := range cycle {
-				members[p] = true
-			}
-			// The cycle provably deadlocks when every member's entire
-			// input set comes from inside the cycle at this order:
-			// each member then needs at least one input package before
-			// its first emission, and all of them wait on each other.
-			closed := true
-			for _, p := range cycle {
-				for order, srcs := range inOrders[p] {
-					for _, src := range srcs {
-						if order != t || !members[src] {
-							closed = false
-						}
-					}
-				}
-			}
 			names := make([]string, len(cycle))
 			for i, p := range cycle {
 				names[i] = p.String()
 			}
-			sev, verdict := SeverityWarning,
-				"packages arriving from outside the cycle may break the wait, but the stage can stall"
-			if closed {
-				sev, verdict = SeverityError,
-					"every member's inputs originate inside the cycle, so the schedule deadlocks"
-			}
-			pass.Reportf(CodeStageCycle, sev, names[0],
-				"flows of order %d form a dependency cycle (%s): %s",
-				t, strings.Join(names, " -> "), verdict)
+			pass.Reportf(CodeStageCycle, SeverityWarning, names[0],
+				"flows of order %d form a dependency cycle (%s): the members wait on each other's packages, so the stage may stall",
+				t, strings.Join(names, " -> "))
 		}
 	}
 }

@@ -11,10 +11,11 @@ import (
 // Stable diagnostic codes of the exact reachability check.
 const (
 	// CodeDeadlockState flags a model whose schedule reaches a state
-	// where no process can fire while packages remain undelivered,
-	// proven by exhaustive exploration of the communicating-automata
-	// product (error). The diagnostic carries a minimal counterexample
-	// trace, printable with segbus-vet -why SB050.
+	// where no process can fire while packages remain undelivered
+	// (error). The exact checker proves it by exploring the
+	// communicating-automata product and attaches a minimal
+	// counterexample trace, printable with segbus-vet -why SB050; an
+	// emulation that stalls reports the same code through FromError.
 	CodeDeadlockState = "SB050"
 
 	// CodeNeverFires flags a process whose first emission's firing
@@ -23,50 +24,44 @@ const (
 	// permanently starved process.
 	CodeNeverFires = "SB051"
 
-	// CodeBudgetExhausted reports that the exact reachability
-	// exploration ran out of its state budget before reaching a
-	// verdict (info). The heuristic cycle analysis (SB101) remains the
-	// authority for such models.
-	CodeBudgetExhausted = "SB052"
+	// CodeTooLarge reports that the model is too large for the exact
+	// checker's state encoding, so exact reachability analysis was
+	// skipped (info). The SB101 cycle heuristic runs in its place.
+	CodeTooLarge = "SB052"
 )
 
 // checkExactReachability compiles the model and platform into the
 // communicating-automata product (internal/automata) and decides
-// deadlock-versus-termination exactly. It complements the SB101
-// heuristic: cycles the heuristic can only grade as suspicious are
-// either proven to deadlock here (SB050/SB051, with a counterexample)
-// or exonerated by the Terminates verdict. Models the validators
-// reject are skipped silently — the structural analyzer already owns
-// those findings — and a budget-exhausted exploration degrades to an
-// SB052 note, leaving the heuristics in charge.
+// deadlock-versus-termination exactly: SB050/SB051 with a
+// counterexample, or nothing when the schedule terminates. Models the
+// validators reject are skipped silently — the structural analyzer
+// already owns those findings. A model too large to compile gets an
+// SB052 note and the SB101 same-stage-cycle heuristic instead.
 func checkExactReachability(pass *Pass) {
 	sys, err := automata.Compile(pass.Model, pass.Platform)
 	if err != nil {
 		if errors.Is(err, automata.ErrTooLarge) {
-			pass.Reportf(CodeBudgetExhausted, SeverityInfo, "model",
+			pass.Reportf(CodeTooLarge, SeverityInfo, "model",
 				"exact reachability analysis skipped: %v", err)
+			checkStageCycles(pass, pass.Model)
 		}
 		return
 	}
-	res := sys.Check(automata.Options{})
-	switch res.Verdict {
-	case automata.Inconclusive:
-		pass.Reportf(CodeBudgetExhausted, SeverityInfo, "model",
-			"exact reachability analysis inconclusive: state budget (%d) exhausted after %d state(s); heuristic cycle analysis applies",
-			res.Budget, res.States)
-	case automata.Deadlocks:
-		pass.Report(Diagnostic{
-			Code:     CodeDeadlockState,
-			Severity: SeverityError,
-			Element:  deadlockElement(res),
-			Message:  deadlockMessage(res),
-			Trace:    res.TraceStrings(),
-		})
-		for _, nf := range res.NeverFired {
-			pass.Reportf(CodeNeverFires, SeverityError, nf.Proc.String(),
-				"%s can never fire: package %d of %s needs %d input package(s) before emission, but at most %d ever arrive",
-				nf.Proc, nf.Pkg, nf.Flow, nf.Need, nf.Have)
-		}
+	res := sys.Check()
+	if res.Verdict != automata.Deadlocks {
+		return
+	}
+	pass.Report(Diagnostic{
+		Code:     CodeDeadlockState,
+		Severity: SeverityError,
+		Element:  deadlockElement(res),
+		Message:  deadlockMessage(res),
+		Trace:    res.TraceStrings(),
+	})
+	for _, nf := range res.NeverFired {
+		pass.Reportf(CodeNeverFires, SeverityError, nf.Proc.String(),
+			"%s can never fire: package %d of %s needs %d input package(s) before emission, but at most %d ever arrive",
+			nf.Proc, nf.Pkg, nf.Flow, nf.Need, nf.Have)
 	}
 }
 

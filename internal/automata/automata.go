@@ -40,15 +40,16 @@
 //     monotone in the delivered-package counts, so the system is
 //     persistent and every maximal run delivers the same package set
 //     (a Kahn least fixpoint). One greedy maximal run therefore
-//     decides deadlock-versus-termination exactly, in time linear in
-//     the package count;
+//     decides deadlock-versus-termination exactly. It fires four
+//     actions per package (start, request, grant, deliver), so it ends
+//     within 4·TotalPackages steps: every model Compile accepts is
+//     decided;
 //   - a breadth-first product exploration: an iterative worklist with
-//     hashed state deduplication and a configurable state budget,
-//     used to find a shortest action trace into the stuck
-//     configuration and as the ground truth the reduced run is
-//     cross-checked against (see FuzzProduct). Frontier levels are
-//     expanded by parallel workers with a deterministic in-order
-//     merge, so the reported trace never depends on scheduling.
+//     hashed state deduplication and a state budget, used to find a
+//     shortest action trace into the stuck configuration and as the
+//     ground truth the reduced run is cross-checked against (see
+//     FuzzProduct). When the budget runs out first, the reduced run's
+//     own trace is reported instead.
 //
 // Segments hosting no emitting process are inert — their bus
 // automaton has a single state — and are pruned from the product
@@ -142,10 +143,6 @@ const (
 	// Deadlocks: a stuck state — no transition enabled, packages
 	// undelivered — is reachable. Result.Trace leads into it.
 	Deadlocks
-
-	// Inconclusive: the state budget was exhausted before a verdict;
-	// callers should fall back to heuristic analysis.
-	Inconclusive
 )
 
 // String implements fmt.Stringer.
@@ -155,8 +152,6 @@ func (v Verdict) String() string {
 		return "terminates"
 	case Deadlocks:
 		return "deadlocks"
-	case Inconclusive:
-		return "inconclusive"
 	}
 	return fmt.Sprintf("Verdict(%d)", int(v))
 }
@@ -172,39 +167,24 @@ type Blocked struct {
 	Have int       // input packages actually received
 }
 
-// DefaultStateBudget is the product-state budget of a Check when
-// Options.StateBudget is zero: large enough for every model the
-// conform generator emits, small enough to stay interactive.
+// DefaultStateBudget caps the distinct product states the
+// breadth-first trace search of a Check visits: large enough for every
+// model the conform generator emits, small enough to stay interactive.
 const DefaultStateBudget = 1 << 17
-
-// Options tunes an exact reachability check.
-type Options struct {
-	// StateBudget caps the number of distinct product states visited
-	// across both explorers; zero selects DefaultStateBudget. When
-	// the budget is exhausted the verdict is Inconclusive.
-	StateBudget int
-
-	// Workers is the parallelism of the breadth-first explorer's
-	// frontier expansion; zero selects min(GOMAXPROCS, 8), one runs
-	// serially. Results are identical for any worker count.
-	Workers int
-}
 
 // Result is the outcome of an exact reachability check.
 type Result struct {
 	Verdict Verdict
 
 	// States is the number of distinct product states visited across
-	// the reduced run and the breadth-first exploration; Budget is
-	// the cap that applied.
+	// the reduced run and the breadth-first exploration.
 	States int
-	Budget int
 
 	// Trace is the action sequence from the initial state into a
 	// stuck state (Deadlocks only). Minimal marks a shortest trace
-	// found by the exhaustive product exploration; when the budget
-	// ran out mid-search the trace of the reduced maximal run is kept
-	// and Minimal is false.
+	// found by the exhaustive product exploration; when its state
+	// budget ran out mid-search the trace of the reduced maximal run is
+	// kept and Minimal is false.
 	Trace   []Action
 	Minimal bool
 

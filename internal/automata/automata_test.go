@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"segbus/internal/automata"
+	"segbus/internal/conform"
 	"segbus/internal/emulator"
 	"segbus/internal/platform"
 	"segbus/internal/psdf"
@@ -75,9 +76,9 @@ func TestDeadlockGallery(t *testing.T) {
 		{
 			// A self-consistent feedback loop: P0's side output to P3
 			// dilutes its firing gates enough that the seed lets the
-			// cycle hand packages back and forth until it drains. The
-			// SB101 heuristic grades this shape a warning; the exact
-			// checker proves it terminates.
+			// cycle hand packages back and forth until it drains. Its
+			// cycle structure is the next case's; only the package
+			// arithmetic tells them apart.
 			name: "self-consistent-cycle-terminates",
 			m: model("feedback",
 				psdf.Flow{Source: 2, Target: 0, Items: 4, Order: 1, Ticks: 5},
@@ -125,7 +126,7 @@ func TestDeadlockGallery(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Compile: %v", err)
 			}
-			res := sys.Check(automata.Options{})
+			res := sys.Check()
 			if res.Verdict != tc.verdict {
 				t.Fatalf("verdict = %v, want %v", res.Verdict, tc.verdict)
 			}
@@ -225,7 +226,7 @@ func TestNilPlatform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := sys.Check(automata.Options{}); res.Verdict != automata.Deadlocks {
+	if res := sys.Check(); res.Verdict != automata.Deadlocks {
 		t.Errorf("bare-model verdict = %v, want deadlocks", res.Verdict)
 	}
 
@@ -234,7 +235,7 @@ func TestNilPlatform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := sys.Check(automata.Options{}); res.Verdict != automata.Terminates {
+	if res := sys.Check(); res.Verdict != automata.Terminates {
 		t.Errorf("bare-model verdict = %v, want terminates", res.Verdict)
 	}
 }
@@ -248,23 +249,44 @@ func TestInvalidModelRejected(t *testing.T) {
 	}
 }
 
-// TestBudgetExhaustion: a tiny budget must yield Inconclusive, never
-// a wrong verdict.
+// TestBudgetExhaustion: the state budget caps only the breadth-first
+// trace search, never the verdict. Exhausting it on a deadlocking
+// model keeps the reduced run's trace (Minimal=false), which must
+// still replay into a stuck state; a terminating model is decided at
+// any budget.
 func TestBudgetExhaustion(t *testing.T) {
-	m := model("chain", psdf.Flow{Source: 0, Target: 1, Items: 64, Order: 1, Ticks: 5})
-	sys, err := automata.Compile(m, plat([]psdf.ProcessID{0, 1}))
+	dead := model("livelock",
+		psdf.Flow{Source: 2, Target: 0, Items: 4, Order: 1, Ticks: 5},
+		psdf.Flow{Source: 0, Target: 1, Items: 8, Order: 1, Ticks: 5},
+		psdf.Flow{Source: 1, Target: 0, Items: 4, Order: 1, Ticks: 5},
+	)
+	sys, err := automata.Compile(dead, plat([]psdf.ProcessID{0, 1}, []psdf.ProcessID{2}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sys.Check(automata.Options{StateBudget: 3})
-	if res.Verdict != automata.Inconclusive {
-		t.Errorf("verdict = %v, want inconclusive at budget 3", res.Verdict)
+	res := sys.CheckBudget(3)
+	if res.Verdict != automata.Deadlocks || res.Minimal {
+		t.Fatalf("verdict = %v, minimal = %v at budget 3; want deadlocks with the reduced run's trace", res.Verdict, res.Minimal)
+	}
+	if stuck, err := sys.Replay(res.Trace); err != nil || !stuck {
+		t.Fatalf("reduced-run trace replays to stuck=%v, err=%v", stuck, err)
+	}
+
+	ok := model("chain", psdf.Flow{Source: 0, Target: 1, Items: 64, Order: 1, Ticks: 5})
+	sys, err = automata.Compile(ok, plat([]psdf.ProcessID{0, 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []int{1, 3, automata.DefaultStateBudget} {
+		if res := sys.CheckBudget(budget); res.Verdict != automata.Terminates {
+			t.Errorf("verdict = %v at budget %d, want terminates", res.Verdict, budget)
+		}
 	}
 }
 
 // TestProductMatchesReduced cross-checks the persistence reduction on
 // the gallery shapes: the exhaustive product explorer and the greedy
-// run must agree wherever both conclude.
+// run must agree.
 func TestProductMatchesReduced(t *testing.T) {
 	shapes := []*psdf.Model{
 		model("a",
@@ -288,19 +310,104 @@ func TestProductMatchesReduced(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
-		terminated, exhausted, _ := sys.RunReduced(automata.DefaultStateBudget)
-		verdict, states := sys.ExploreProduct(automata.DefaultStateBudget, 4)
-		if exhausted || verdict == automata.Inconclusive {
+		terminated, _ := sys.RunReduced()
+		verdict, exhausted, states := sys.ExploreProduct(automata.DefaultStateBudget)
+		if exhausted {
 			t.Fatalf("%s: unexpected budget exhaustion", m.Name())
 		}
 		if terminated != (verdict == automata.Terminates) {
 			t.Errorf("%s: reduced terminated=%v, product verdict=%v (%d states)",
 				m.Name(), terminated, verdict, states)
 		}
-		// Parallel and serial exploration must agree exactly.
-		sv, ss := sys.ExploreProduct(automata.DefaultStateBudget, 1)
-		if sv != verdict || ss != states {
-			t.Errorf("%s: serial explore (%v, %d) != parallel (%v, %d)", m.Name(), sv, ss, verdict, states)
+	}
+}
+
+// TestReducedRunBound pins the premise that lets Check decide every
+// compiled model without a step budget: the greedy run fires four
+// actions per package, so it takes exactly 4·TotalPackages steps when
+// it terminates and fewer when it sticks. Checked over the conform
+// generator's pairs, a cyclic mutant of each (some of which deadlock)
+// and the gallery shapes.
+func TestReducedRunBound(t *testing.T) {
+	type pair struct {
+		m *psdf.Model
+		p *platform.Platform
+	}
+	pairs := []pair{
+		{model("cyclic",
+			psdf.Flow{Source: 3, Target: 0, Items: 4, Order: 1, Ticks: 5},
+			psdf.Flow{Source: 0, Target: 1, Items: 4, Order: 2, Ticks: 5},
+			psdf.Flow{Source: 1, Target: 0, Items: 4, Order: 2, Ticks: 5},
+		), plat([]psdf.ProcessID{0, 3}, []psdf.ProcessID{1})},
+		{model("feedback",
+			psdf.Flow{Source: 2, Target: 0, Items: 4, Order: 1, Ticks: 5},
+			psdf.Flow{Source: 0, Target: 1, Items: 4, Order: 1, Ticks: 5},
+			psdf.Flow{Source: 0, Target: 3, Items: 8, Order: 1, Ticks: 5},
+			psdf.Flow{Source: 1, Target: 0, Items: 4, Order: 1, Ticks: 5},
+		), plat([]psdf.ProcessID{0, 1}, []psdf.ProcessID{2, 3})},
+	}
+	for _, seed := range []int64{1, 7, 42} {
+		gen := conform.NewGenerator(seed, nil)
+		for i := 0; i < 300; i++ {
+			doc := gen.Next().Doc
+			pairs = append(pairs, pair{doc.Model, doc.Platform})
+			f := doc.Model.Flows()[0]
+			if f.Target == psdf.SystemOutput {
+				continue
+			}
+			mut := doc.Model.Clone()
+			mut.AddFlow(psdf.Flow{Source: f.Target, Target: f.Source, Items: f.Items, Order: f.Order, Ticks: 3})
+			pairs = append(pairs, pair{mut, doc.Platform})
 		}
+	}
+	terminating, deadlocking := 0, 0
+	for _, pr := range pairs {
+		sys, err := automata.Compile(pr.m, pr.p)
+		if err != nil {
+			continue
+		}
+		limit := 4 * sys.Schedule().TotalPackages()
+		terminated, steps := sys.RunReduced()
+		switch {
+		case terminated && steps != limit:
+			t.Errorf("%s: terminating run took %d steps, want 4·packages = %d", pr.m.Name(), steps, limit)
+		case !terminated && steps >= limit:
+			t.Errorf("%s: deadlocking run took %d steps, want fewer than %d", pr.m.Name(), steps, limit)
+		}
+		if terminated {
+			terminating++
+		} else {
+			deadlocking++
+		}
+	}
+	if terminating < 200 || deadlocking == 0 {
+		t.Errorf("%d terminating and %d deadlocking runs checked; the bound was not exercised on both sides", terminating, deadlocking)
+	}
+	t.Logf("%d terminating and %d deadlocking runs within the bound", terminating, deadlocking)
+}
+
+// TestLargestModelDecided: a terminating model at the encoding limit of
+// 2^15 packages compiles and is decided by a reduced run of exactly
+// 4·2^15 = 2^17 steps; one more package is ErrTooLarge.
+func TestLargestModelDecided(t *testing.T) {
+	m := model("chain",
+		psdf.Flow{Source: 0, Target: 1, Items: 4 << 14, Order: 1, Ticks: 5},
+		psdf.Flow{Source: 1, Target: 2, Items: 4 << 14, Order: 2, Ticks: 5},
+	)
+	p := plat([]psdf.ProcessID{0, 1}, []psdf.ProcessID{2})
+	sys, err := automata.Compile(m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := sys.Check(); res.Verdict != automata.Terminates {
+		t.Fatalf("verdict = %v, want terminates", res.Verdict)
+	}
+	if terminated, steps := sys.RunReduced(); !terminated || steps != 1<<17 {
+		t.Errorf("reduced run terminated=%v after %d steps, want 2^17", terminated, steps)
+	}
+
+	m.AddFlow(psdf.Flow{Source: 2, Target: psdf.SystemOutput, Items: 1, Order: 3, Ticks: 5})
+	if _, err := automata.Compile(m, p); !errors.Is(err, automata.ErrTooLarge) {
+		t.Errorf("2^15+1 packages: Compile error %v, want ErrTooLarge", err)
 	}
 }

@@ -9,26 +9,20 @@ import (
 //
 // The reduced (greedy maximal) run delivers the verdict: by the
 // persistence argument in runReduced's comment it terminates if and
-// only if every run does. When it sticks, the breadth-first product
-// exploration is launched to find a shortest action trace into the
-// stuck configuration; if that search exhausts the state budget the
-// reduced run's own trace is kept (Minimal=false). A reduced run that
-// exhausts the budget — possible only for models near the encoding
-// limits — yields Inconclusive, and callers fall back to heuristics.
-func (s *System) Check(opts Options) *Result {
-	budget := opts.StateBudget
-	if budget <= 0 {
-		budget = DefaultStateBudget
-	}
-	res := &Result{Budget: budget, PrunedSegments: s.pruned}
+// only if every run does, and it ends within 4·TotalPackages steps, so
+// every compiled model is decided. When it sticks, the breadth-first
+// product exploration is launched to find a shortest action trace into
+// the stuck configuration; if that search exhausts DefaultStateBudget
+// the reduced run's own trace is kept (Minimal=false).
+func (s *System) Check() *Result { return s.check(DefaultStateBudget) }
 
-	red := s.runReduced(budget)
+// check is Check with the breadth-first search capped at budget
+// distinct states.
+func (s *System) check(budget int) *Result {
+	res := &Result{PrunedSegments: s.pruned}
+	red := s.runReduced()
 	res.States = red.steps + 1
-	switch {
-	case red.exhausted:
-		res.Verdict = Inconclusive
-		return res
-	case red.terminated:
+	if red.terminated {
 		res.Verdict = Terminates
 		return res
 	}
@@ -38,13 +32,12 @@ func (s *System) Check(opts Options) *Result {
 	res.NeverFired = s.neverFired(red.final)
 	s.fillStuck(res, red.final)
 
-	if prod := s.exploreProduct(budget, opts.Workers); prod.verdict == Deadlocks {
+	prod := s.exploreProduct(budget)
+	res.States += prod.states
+	if !prod.exhausted && prod.verdict == Deadlocks {
 		res.Trace = prod.trace
 		res.Minimal = true
-		res.States += prod.states
 		s.fillStuck(res, prod.stuck)
-	} else {
-		res.States += prod.states
 	}
 	return res
 }

@@ -10,14 +10,14 @@ import (
 )
 
 // ErrTooLarge marks a model whose product encoding would overflow the
-// compact state layout; exact analysis is skipped for it and callers
-// fall back to heuristics.
+// compact state layout; exact analysis is skipped for it, and only the
+// emulation itself can tell whether it deadlocks.
 var ErrTooLarge = errors.New("automata: model too large for exact analysis")
 
 // Encoding capacity limits: counters are packed as uint16, so the
-// package and stage counts must fit, with generous headroom below the
-// representable maximum (a model near these limits exhausts any
-// reasonable state budget long before the encoding matters).
+// package and stage counts must fit, with headroom below the
+// representable maximum. The package limit also bounds the reduced
+// run of Check at 4·maxPackages = 2^17 steps.
 const (
 	maxPackages = 1 << 15
 	maxStages   = 1 << 14

@@ -3,7 +3,6 @@ package automata
 // reducedOutcome is the result of one greedy maximal run.
 type reducedOutcome struct {
 	terminated bool     // every stage completed
-	exhausted  bool     // step budget ran out first
 	final      []byte   // last state reached (the stuck state when !terminated)
 	trace      []Action // the full action history of the run
 	steps      int
@@ -18,9 +17,12 @@ type reducedOutcome struct {
 // maximal run delivers the same package set. One greedy run therefore
 // decides deadlock-versus-termination exactly, visiting a number of
 // states linear in the package count instead of the product's
-// breadth. The breadth-first explorer cross-checks this reduction
-// (TestReducedMatchesProduct, FuzzProduct).
-func (s *System) runReduced(budget int) reducedOutcome {
+// breadth. Every step advances one emitter's phase and each package
+// cycles through four phases once, so the run ends within
+// 4·TotalPackages steps — exactly that many when it terminates. The
+// breadth-first explorer cross-checks this reduction
+// (TestProductMatchesReduced, FuzzProduct).
+func (s *System) runReduced() reducedOutcome {
 	st := s.initial()
 	out := reducedOutcome{}
 	// Flush priority: later phases first, so traces read like a
@@ -29,11 +31,6 @@ func (s *System) runReduced(budget int) reducedOutcome {
 	for {
 		if s.done(st) {
 			out.terminated = true
-			out.final = st
-			return out
-		}
-		if out.steps >= budget {
-			out.exhausted = true
 			out.final = st
 			return out
 		}

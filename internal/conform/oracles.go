@@ -79,17 +79,14 @@ var oracleList = []*Oracle{
 // deadlock-versus-terminates verdict must match whether the
 // estimation run actually gets stuck, and a deadlock verdict's
 // counterexample must replay into a stuck product state. Models the
-// compiler rejects (the validators own those) and budget-exhausted
-// explorations are out of the oracle's domain.
+// compiler rejects (the validators own those, and the oversized ones
+// have no exact verdict) are out of the oracle's domain.
 func checkReachability(c *Case) error {
 	sys, err := automata.Compile(c.Doc.Model, c.Doc.Platform)
 	if err != nil {
 		return errSkip
 	}
-	res := sys.Check(automata.Options{})
-	if res.Verdict == automata.Inconclusive {
-		return errSkip
-	}
+	res := sys.Check()
 
 	_, estErr := c.Est()
 	var dl *emulator.DeadlockError

@@ -28,8 +28,9 @@ func TestReachabilityAgreement(t *testing.T) {
 
 		// Cyclic mutant: feed the first flow's target back to its
 		// source at the same ordering number. Some mutants stay
-		// self-consistent and drain; others starve — exactly the
-		// shapes the SB101 heuristic cannot separate.
+		// self-consistent and drain; others starve — shapes with the
+		// same cycle structure that only the package arithmetic
+		// separates.
 		mut := cloneDoc(c.Doc)
 		fs := mut.Model.Flows()
 		if len(fs) == 0 || fs[0].Target == psdf.SystemOutput {
@@ -49,10 +50,11 @@ func TestReachabilityAgreement(t *testing.T) {
 }
 
 // TestPreflightMatchesEmulation is the premise of running the
-// preflight analyzers only after a failure: core.Preflight finds an
-// error exactly when the emulation fails. agreeOnce asserts it on
-// every pair above; here it also meets the scenario corpus, the
-// deadlock gallery and an unmapped-process mutant, so the structural
+// preflight analyzers only after a failure: they explain every failed
+// emulation with a coded error. agreeOnce asserts it on every pair
+// above; here it also meets the scenario corpus, the deadlock gallery
+// (the oversized open cycle included, which only the emulation's own
+// SB050 explains) and an unmapped-process mutant, so the structural
 // side (SB029) is exercised too.
 func TestPreflightMatchesEmulation(t *testing.T) {
 	var docs []*dsl.Document
@@ -68,7 +70,7 @@ func TestPreflightMatchesEmulation(t *testing.T) {
 		agreeOnce(t, doc.Model, doc.Platform, &deadlocks)
 	}
 	if deadlocks < 2 {
-		t.Errorf("%d scenario(s) deadlocked, want the two of the deadlock gallery", deadlocks)
+		t.Errorf("%d scenario(s) decided to deadlock, want the two compilable ones of the deadlock gallery", deadlocks)
 	}
 
 	// A sink process the platform does not host: validation fails
@@ -92,24 +94,31 @@ func hasCode(res *analyze.Result, code string) bool {
 	return false
 }
 
-// agreeOnce asserts that core.Preflight finds an error exactly when
-// the emulation fails, then compares the checker and the emulator on
-// the pair, returning 1 when that comparison was conclusive and 0 when
-// the model is outside the checker's domain (invalid or over budget).
+// agreeOnce asserts that a pair's emulation fails exactly when the
+// failure can be explained with a coded error — by core.Preflight, or
+// by analyze.FromError on the emulation's own error — and, wherever
+// automata.Compile does not reject the pair as too large, by
+// core.Preflight alone. It then
+// compares the checker and the emulator on the pair, returning 1 when
+// the checker decided it and 0 when the model is outside the checker's
+// domain (invalid or too large to compile).
 func agreeOnce(t *testing.T, m *psdf.Model, plat *platform.Platform, deadlocks *int) int {
 	t.Helper()
 	_, emuErr := emulator.Run(m, plat, emulator.Config{})
-	if pre := core.Preflight(m, plat); pre.HasErrors() != (emuErr != nil) {
-		t.Fatalf("%s: preflight errors=%v but emulation error=%v\n%s", m.Name(), pre.HasErrors(), emuErr, pre)
+	pre := core.Preflight(m, plat)
+	_, coded := analyze.FromError(emuErr)
+	if (pre.HasErrors() || coded) != (emuErr != nil) {
+		t.Fatalf("%s: preflight errors=%v, coded emulation error=%v, but emulation error=%v\n%s",
+			m.Name(), pre.HasErrors(), coded, emuErr, pre)
 	}
 	sys, err := automata.Compile(m, plat)
+	if !errors.Is(err, automata.ErrTooLarge) && pre.HasErrors() != (emuErr != nil) {
+		t.Fatalf("%s: preflight errors=%v but emulation error=%v\n%s", m.Name(), pre.HasErrors(), emuErr, pre)
+	}
 	if err != nil {
 		return 0
 	}
-	res := sys.Check(automata.Options{})
-	if res.Verdict == automata.Inconclusive {
-		return 0
-	}
+	res := sys.Check()
 	var dl *emulator.DeadlockError
 	emuDeadlock := errors.As(emuErr, &dl)
 	if emuErr != nil && !emuDeadlock {

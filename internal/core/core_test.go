@@ -44,14 +44,15 @@ func TestEstimatePropagatesValidation(t *testing.T) {
 }
 
 func TestPreflightExplainsFailedEstimate(t *testing.T) {
-	// A same-stage cycle with all inputs inside the cycle: the
+	// A seeded same-stage cycle whose gates wait on each other: the
 	// emulation fails, and preflight — run afterwards to explain the
-	// failure — carries the liveness SB101 deadlock finding.
+	// failure — carries the exact checker's SB050 deadlock finding.
 	m := psdf.NewModel("deadlock")
+	m.AddFlow(psdf.Flow{Source: 2, Target: 0, Items: 36, Order: 0, Ticks: 5})
 	m.AddFlow(psdf.Flow{Source: 0, Target: 1, Items: 36, Order: 1, Ticks: 5})
 	m.AddFlow(psdf.Flow{Source: 1, Target: 0, Items: 36, Order: 1, Ticks: 5})
 	plat := platform.New("p", 100*platform.MHz, 36)
-	plat.AddSegment(100*platform.MHz, 0, 1)
+	plat.AddSegment(100*platform.MHz, 0, 1, 2)
 
 	if _, err := Estimate(m, plat, Options{}); err == nil {
 		t.Fatal("Estimate accepted a same-stage cycle")
@@ -62,12 +63,12 @@ func TestPreflightExplainsFailedEstimate(t *testing.T) {
 	}
 	found := false
 	for _, d := range res.Diagnostics {
-		if d.Code == "SB101" {
+		if d.Code == "SB050" {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("preflight does not carry the SB101 finding:\n%s", res)
+		t.Errorf("preflight does not carry the SB050 finding:\n%s", res)
 	}
 }
 

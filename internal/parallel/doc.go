@@ -17,8 +17,7 @@
 //     result does not depend on the worker count or the steal seed.
 //     core.Explore, the sweeps and the design-space explorer run one
 //     task per candidate, each emulating through the warm-machine
-//     emulator/pool.Run; the automata's level expansion runs one task
-//     per frontier state.
+//     emulator/pool.Run.
 //   - Pool, the admission scheduler for serving: bounded in-flight
 //     work with a fail-fast queue and cancellable waits.
 package parallel

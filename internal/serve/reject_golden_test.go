@@ -12,6 +12,7 @@ import (
 
 	"segbus/internal/core"
 	"segbus/internal/dsl"
+	"segbus/internal/psdf"
 )
 
 // unmappedPair returns the golden MP3 schemes with one extra PSDF
@@ -33,6 +34,13 @@ func unmappedPair(t *testing.T) (psdfXML, psmXML string) {
 // into an estimate request through the model-to-text transformation.
 func scenarioRequest(t *testing.T, rel string) EstimateRequest {
 	t.Helper()
+	return scaledScenarioRequest(t, rel, 1)
+}
+
+// scaledScenarioRequest is scenarioRequest with every flow's item count
+// multiplied by scale.
+func scaledScenarioRequest(t *testing.T, rel string, scale int) EstimateRequest {
+	t.Helper()
 	f, err := os.Open(filepath.Join("..", "..", "testdata", "scenarios", rel))
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +50,12 @@ func scenarioRequest(t *testing.T, rel string) EstimateRequest {
 	if err != nil {
 		t.Fatalf("%s: %v", rel, err)
 	}
-	psdfXML, psmXML, err := core.Transform(doc.Model, doc.Platform)
+	m := psdf.NewModel(doc.Model.Name())
+	for _, fl := range doc.Model.Flows() {
+		fl.Items *= scale
+		m.AddFlow(fl)
+	}
+	psdfXML, psmXML, err := core.Transform(m, doc.Platform)
 	if err != nil {
 		t.Fatalf("%s: %v", rel, err)
 	}

@@ -201,6 +201,11 @@ type Server struct {
 	tracer   *reqtrace.Tracer   // nil when TraceSample < 0
 	recorder *reqtrace.Recorder // nil when TraceSample < 0
 	draining atomic.Bool
+
+	// explainHook, when non-nil, runs inside the worker slot just
+	// before a failed emulation is explained. Test seam: the admission
+	// test blocks it to hold the slot during an explanation.
+	explainHook func()
 }
 
 // New returns a ready Server.
@@ -447,7 +452,7 @@ func (s *Server) parseRequest(tr *reqtrace.Trace, parent reqtrace.SpanID, req *E
 	sp = tr.Child(parent, "fingerprint")
 	key, err := pr.runner.Key(pr.m, pr.plat)
 	if err != nil {
-		out := explainFailure(pr, "canonicalize: "+err.Error())
+		out := explainFailure(pr, "canonicalize: ", err)
 		tr.Attr(sp, "code", out.code)
 		tr.End(sp)
 		return nil, out
@@ -493,16 +498,27 @@ func (s *Server) decodeRequest(req *EstimateRequest) (*parsed, outcome) {
 }
 
 // explainFailure classifies a pair that failed to canonicalize or
-// emulate: a coded 400 when the preflight analyzers, run only here,
-// find errors, and a 500 with msg otherwise.
-func explainFailure(pr *parsed, msg string) outcome {
-	if pre := core.Preflight(pr.m, pr.plat); pre.HasErrors() {
-		e, warns, _ := pre.Counts()
-		return errOutcome(http.StatusBadRequest, CodeBadModel,
-			fmt.Sprintf("preflight found %d error(s), %d warning(s)", e, warns),
-			pre.Diagnostics)
+// emulate (what names the step). The preflight analyzers, run only
+// here, explain it; when they find no error — an emulation that stalls
+// on a model too large for the exact checker — the failure's own coded
+// diagnostics do, as SB050 for a stall. Either way the answer is a
+// coded 400 counting the combined diagnostics; a failure nothing
+// explains is a 500.
+func explainFailure(pr *parsed, what string, err error) outcome {
+	pre := core.Preflight(pr.m, pr.plat)
+	if !pre.HasErrors() {
+		ds, ok := analyze.FromError(err)
+		if !ok {
+			return errOutcome(http.StatusInternalServerError, CodeInternal, what+err.Error(), nil)
+		}
+		// FromError yields errors only: leading with them keeps the
+		// most-severe-first order of the preflight's findings.
+		pre.Diagnostics = append(ds, pre.Diagnostics...)
 	}
-	return errOutcome(http.StatusInternalServerError, CodeInternal, msg, nil)
+	e, warns, _ := pre.Counts()
+	return errOutcome(http.StatusBadRequest, CodeBadModel,
+		fmt.Sprintf("preflight found %d error(s), %d warning(s)", e, warns),
+		pre.Diagnostics)
 }
 
 // estimate serves one parsed request through the shared pipeline:
@@ -589,10 +605,10 @@ func (s *Server) estimate(ctx context.Context, tr *reqtrace.Trace, parent reqtra
 // The emulation runs on a checked-out pool machine through
 // ReportJSONOn — byte-identical to a fresh run, minus the
 // construction cost — and the machine goes back to the pool on every
-// outcome, including failed runs (Reset is total).
+// outcome, including failed runs (Reset is total). A failed run is
+// explained before the worker slot is released.
 func (s *Server) emulate(ctx context.Context, tr *reqtrace.Trace, parent reqtrace.SpanID, pr *parsed) outcome {
-	var body []byte
-	var runErr error
+	var out outcome
 	var observe func(time.Duration)
 	if tr != nil {
 		observe = func(wait time.Duration) { tr.SpanPast(parent, "pool_wait", wait) }
@@ -613,9 +629,19 @@ func (s *Server) emulate(ctx context.Context, tr *reqtrace.Trace, parent reqtrac
 		if s.cfg.OnEmulate != nil {
 			s.cfg.OnEmulate()
 		}
-		body, runErr = pr.runner.ReportJSONOn(mc, pr.m, pr.plat)
+		body, runErr := pr.runner.ReportJSONOn(mc, pr.m, pr.plat)
 		tr.End(sp)
 		s.machines.Put(shape, mc)
+		if runErr != nil {
+			// The analyzers (the exact checker's search included) are
+			// admitted and bounded like the emulation they explain.
+			if s.explainHook != nil {
+				s.explainHook()
+			}
+			out = explainFailure(pr, "emulation: ", runErr)
+			return
+		}
+		out = outcome{status: http.StatusOK, cache: "miss", body: body}
 	})
 	switch {
 	case errors.Is(err, parallel.ErrQueueFull):
@@ -629,14 +655,14 @@ func (s *Server) emulate(ctx context.Context, tr *reqtrace.Trace, parent reqtrac
 		s.metrics.Deadline.Inc()
 		return errOutcome(http.StatusGatewayTimeout, CodeDeadline, "request abandoned before a worker was free: "+err.Error(), nil)
 	}
-	if runErr != nil {
-		return explainFailure(pr, "emulation: "+runErr.Error())
+	if out.status != http.StatusOK {
+		return out
 	}
-	if evicted := s.cache.Put(pr.key, body); evicted {
+	if evicted := s.cache.Put(pr.key, out.body); evicted {
 		s.metrics.CacheEvictions.Inc()
 	}
 	s.metrics.CacheMisses.Inc()
-	return outcome{status: http.StatusOK, cache: "miss", body: body}
+	return out
 }
 
 // requestCtx applies the server's per-request deadline.

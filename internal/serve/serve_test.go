@@ -317,6 +317,84 @@ func TestEstimateRejectsOversizedInputs(t *testing.T) {
 	}
 }
 
+// TestEstimateExplainsOversizedDeadlock sends deadlocking models past
+// the exact checker's 2^15-package limit: the open cycle of the
+// deadlock gallery and cyclic-2seg scaled to 40008 packages. Preflight
+// finds no error in them (SB101 warning, SB052 note), so the
+// emulation's own stall report explains each as SB050 in a coded 400.
+func TestEstimateExplainsOversizedDeadlock(t *testing.T) {
+	cases := []struct {
+		rel   string
+		scale int
+	}{
+		{"deadlock/oversized-open-cycle.sbd", 1},
+		{"deadlock/cyclic-2seg.sbd", 13336},
+	}
+	for _, c := range cases {
+		t.Run(c.rel, func(t *testing.T) {
+			s := New(Config{Workers: 1, Queue: 1})
+			rec := post(s.Handler(), body(t, scaledScenarioRequest(t, c.rel, c.scale)))
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("status %d, want 400: %s", rec.Code, rec.Body.String())
+			}
+			e := decodeError(t, rec)
+			if e.Code != CodeBadModel {
+				t.Fatalf("code %s (%s), want %s", e.Code, e.Error, CodeBadModel)
+			}
+			codes := make(map[string]int)
+			for _, d := range e.Diagnostics {
+				codes[d.Code]++
+			}
+			if codes[analyze.CodeDeadlockState] != 1 || codes[analyze.CodeTooLarge] != 1 || codes[analyze.CodeStageCycle] != 1 {
+				t.Errorf("want one SB050, SB052 and SB101 each, got %v", codes)
+			}
+			if e.Diagnostics[0].Code != analyze.CodeDeadlockState {
+				t.Errorf("first diagnostic is %s, want the SB050 error first", e.Diagnostics[0].Code)
+			}
+			if !strings.HasPrefix(e.Error, "preflight found 1 error(s), ") {
+				t.Errorf("message %q does not count the SB050 error", e.Error)
+			}
+		})
+	}
+}
+
+// TestExplanationHoldsWorkerSlot: a failed emulation is explained in
+// the worker slot it ran in, so the preflight analyzers are admitted
+// like any emulation. With one worker and no queue, a second request
+// is shed while the first one's explanation is still running.
+func TestExplanationHoldsWorkerSlot(t *testing.T) {
+	psdfXML, psmXML := goldenSchemes(t)
+	s := New(Config{Workers: 1, Queue: 0, CacheEntries: 0})
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	s.explainHook = func() {
+		close(entered)
+		<-release
+	}
+	h := s.Handler()
+
+	first := make(chan *httptest.ResponseRecorder)
+	go func() { first <- post(h, body(t, scenarioRequest(t, "deadlock/starved-order.sbd"))) }()
+	<-entered
+
+	rec := post(h, body(t, EstimateRequest{PSDF: psdfXML, PSM: psmXML}))
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("status %d during the explanation, want 429: %s", rec.Code, rec.Body.String())
+	}
+	if e := decodeError(t, rec); e.Code != CodeQueueFull {
+		t.Errorf("code %s, want %s", e.Code, CodeQueueFull)
+	}
+
+	close(release)
+	rec = <-first
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("explained request: status %d, want 400: %s", rec.Code, rec.Body.String())
+	}
+	if e := decodeError(t, rec); e.Code != CodeBadModel {
+		t.Errorf("explained request: code %s, want %s", e.Code, CodeBadModel)
+	}
+}
+
 func TestEstimateQueueFull(t *testing.T) {
 	psdfXML, psmXML := goldenSchemes(t)
 	s := New(Config{Workers: 1, Queue: 0, CacheEntries: 0})

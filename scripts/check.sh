@@ -29,16 +29,16 @@ go test -bench=. -benchtime=1x -run '^$' ./...
 # extra race-enabled rounds in fresh processes.
 go test -race -count=2 ./internal/engine
 
-# The exact reachability explorer expands wide frontier levels on the
-# work-stealing scheduler; give its suite (deadlock gallery,
-# reduced-vs-product and one-vs-four-worker cross-checks) extra
-# race-enabled rounds in fresh processes too.
-go test -race -count=2 ./internal/automata
-
 # The emulator, the exact checker and the static bounds all read the
 # emission table sched.Extract compiles; fuzz it against the verbatim
 # reference derivation (FuzzProgram) on arbitrary DSL documents.
 go test -run '^$' -fuzz '^FuzzProgram$' -fuzztime 10s ./internal/sched
+
+# The exact checker decides deadlock with one greedy run, on the
+# premise that the product is persistent (every maximal run delivers
+# the same packages); fuzz that premise against the exhaustive
+# breadth-first product (FuzzProduct) on arbitrary DSL documents.
+go test -run '^$' -fuzz '^FuzzProduct$' -fuzztime 10s ./internal/automata
 
 # The serving and CLI front ends run the preflight analyzers only after
 # an emulation fails, on the premise that they find an error exactly
