@@ -19,9 +19,9 @@
 //     lints reproducing the paper's conclusion about rebalancing the
 //     BU12 hot spot, naming migration candidates (SB301–SB303).
 //
-// The framework is exposed on the command line as cmd/segbus-vet and
-// as an optional pre-flight pass of internal/core's estimation entry
-// points.
+// The framework is exposed on the command line as cmd/segbus-vet;
+// core.Preflight runs its structural and liveness analyzers to
+// explain a failed estimation.
 package analyze
 
 import (

@@ -211,19 +211,26 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 	steal := parallel.StealOptions{Workers: workers, Seed: opts.Seed}
 
 	// Stage 1: analytic bounds, priced once per group of candidates
-	// that differ only in their tick axes. Enumerate builds every
-	// member's platform from the group's allocation, clocks and
-	// package size, and withDefaults rejects negative ticks, so one
-	// validation, one coefficient pass and one power profile (which
-	// reads neither tick field) serve the whole group; each member
-	// then costs one At. power.Params{} selects power.DefaultParams,
-	// here and in the estimate below: pruning and estimation price
-	// with the same coefficients.
-	groups := tickGroups(cands)
+	// that differ only in their tick axes. Enumerate lists each
+	// group's members contiguously, sharing one group platform, so
+	// every run of equal group pointers is one task; withDefaults
+	// rejects negative ticks, so one validation, one coefficient pass
+	// and one power profile (neither reads the tick fields) serve the
+	// whole group, and each member then costs one At.
+	// power.Params{} selects power.DefaultParams, here and in the
+	// estimate below: pruning and estimation price with the same
+	// coefficients.
+	var starts []int
+	for i := range cands {
+		if i == 0 || cands[i].group != cands[i-1].group {
+			starts = append(starts, i)
+		}
+	}
+	starts = append(starts, len(cands))
 	var boundsNs atomic.Int64
-	parallel.StealRun(len(groups), steal, func(g int) {
+	parallel.StealRun(len(starts)-1, steal, func(g int) {
 		start := time.Now()
-		plat := cands[groups[g][0]].Platform
+		plat := cands[starts[g]].group
 		var pf *power.Profile
 		ab, err := q.Affine(plat)
 		if err != nil {
@@ -231,7 +238,7 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 		} else if pf, err = power.NewProfile(m, plat, power.Params{}); err != nil {
 			err = fmt.Errorf("power profile: %w", err)
 		}
-		for _, i := range groups[g] {
+		for i := starts[g]; i < starts[g+1]; i++ {
 			pt := &res.Points[i]
 			pt.Candidate = cands[i]
 			if err != nil {
@@ -297,7 +304,11 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 			i := wave[k]
 			pt := &res.Points[i]
 			start := time.Now()
-			report, err := machines.Run(m, pt.Platform, emulator.Config{})
+			// The candidate's own platform, built only now that it is
+			// emulated: the group's with its label and tick values.
+			plat := pt.group.Clone()
+			plat.Name, plat.HeaderTicks, plat.CAHopTicks = pt.Label, pt.HeaderTicks, pt.CAHopTicks
+			report, err := machines.Run(m, plat, emulator.Config{})
 			emulateNs.Add(time.Since(start).Nanoseconds())
 			if err != nil {
 				pt.Err = fmt.Errorf("emulate: %w", err)
@@ -306,7 +317,7 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 				return
 			}
 			start = time.Now()
-			est, err := power.Estimate(m, pt.Platform, report, power.Params{})
+			est, err := power.Estimate(m, plat, report, power.Params{})
 			powerNs.Add(time.Since(start).Nanoseconds())
 			if err != nil {
 				pt.Err = fmt.Errorf("power: %w", err)
@@ -315,6 +326,7 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 				return
 			}
 			pt.Emulated = true
+			pt.Platform = plat
 			pt.ExecPs = int64(report.ExecutionTimePs)
 			pt.TotalPJ = est.TotalPJ
 			pt.AvgPowerMW = est.AvgPowerM
@@ -361,35 +373,6 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 	metrics.StagePower.Set(float64(res.Timing.Power))
 	opts.Heartbeat.Final(int(done.Load()), int(failed.Load()))
 	return res, nil
-}
-
-// groupKey identifies the candidates that share a platform up to the
-// tick axes.
-type groupKey struct {
-	segments    int
-	mapping     string
-	packageSize int
-}
-
-// tickGroups partitions candidate indices by (segments, mapping,
-// package size) into groups whose members differ only in their tick
-// axes: groups in order of first appearance, members in enumeration
-// order. It keys by value, so it does not rely on the enumeration
-// order keeping a group contiguous.
-func tickGroups(cands []Candidate) [][]int {
-	slot := make(map[groupKey]int)
-	var groups [][]int
-	for i, c := range cands {
-		k := groupKey{c.Segments, c.Mapping, c.PackageSize}
-		g, ok := slot[k]
-		if !ok {
-			g = len(groups)
-			slot[k] = g
-			groups = append(groups, nil)
-		}
-		groups[g] = append(groups[g], i)
-	}
-	return groups
 }
 
 // paretoFront returns the indices of the non-dominated emulated

@@ -5,13 +5,17 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"segbus/internal/analyze"
 	"segbus/internal/apps"
+	"segbus/internal/core"
 	"segbus/internal/obs"
+	"segbus/internal/place"
+	"segbus/internal/platform"
 	"segbus/internal/power"
 	"segbus/internal/psdf"
 )
@@ -82,8 +86,7 @@ func TestEnumerateCanonicalOrder(t *testing.T) {
 	// slice position.
 	want0 := Candidate{Index: 0, Segments: 3, Mapping: MappingSolve, PackageSize: 36, HeaderTicks: 25, CAHopTicks: 25}
 	got0 := cands[0]
-	got0.Platform, got0.Label = nil, ""
-	want0.Label = ""
+	got0.group, got0.Label = nil, ""
 	if got0 != want0 {
 		t.Errorf("candidate 0 = %+v, want %+v", got0, want0)
 	}
@@ -91,14 +94,8 @@ func TestEnumerateCanonicalOrder(t *testing.T) {
 		if c.Index != i {
 			t.Fatalf("candidate %d carries Index %d", i, c.Index)
 		}
-		if c.Platform == nil {
-			t.Fatalf("candidate %d has no platform", i)
-		}
-		if c.Platform.PackageSize != c.PackageSize || c.Platform.HeaderTicks != c.HeaderTicks {
-			t.Fatalf("candidate %d platform disagrees with axes", i)
-		}
-		if got := len(c.Platform.Segments); got != c.Segments {
-			t.Fatalf("candidate %d: %d platform segments, want %d", i, got, c.Segments)
+		if c.Platform != nil {
+			t.Fatalf("candidate %d has a platform on return from Enumerate", i)
 		}
 	}
 	// Header ticks vary before package size rolls over.
@@ -147,52 +144,112 @@ func randomSpace(rng *rand.Rand, nprocs int) *Space {
 	}
 }
 
-// TestGroupedBoundsMatchPerCandidate is the point-level oracle for
-// group pricing: every point's bounds and energy bound equal the
-// per-candidate analysis of its own platform, and every member's own
-// platform and mapping validation agrees with its group's.
-func TestGroupedBoundsMatchPerCandidate(t *testing.T) {
-	check := func(label string, m *psdf.Model, space *Space) {
-		t.Helper()
-		res, err := Run(m, space, Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
+// refPlatforms builds every candidate's own platform the way
+// Enumerate did before it shared one platform per group: one placement
+// per (segments, mapping) and one core.PlatformFromAllocation per
+// candidate, with the candidate's label and ticks.
+func refPlatforms(m *psdf.Model, space *Space) ([]*platform.Platform, error) {
+	sp, err := space.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	cm := m.CommunicationMatrix()
+
+	clocksFor := func(n int) []platform.Hz {
+		clocks := make([]platform.Hz, n)
+		for i := range clocks {
+			clocks[i] = platform.Hz(sp.SegmentClocksMHz[i%len(sp.SegmentClocksMHz)]) * platform.MHz
 		}
-		cands := make([]Candidate, len(res.Points))
-		for i := range res.Points {
-			cands[i] = res.Points[i].Candidate
-		}
-		sameErr := func(a, b error) bool { return (a == nil) == (b == nil) }
-		for _, group := range tickGroups(cands) {
-			first := res.Points[group[0]].Platform
-			for _, i := range group {
-				p := &res.Points[i]
-				if !sameErr(p.Platform.Validate(), first.Validate()) ||
-					!sameErr(p.Platform.ValidateMapping(m), first.ValidateMapping(m)) {
-					t.Fatalf("%s: %s validates unlike its group's %s", label, p.Label, first.Name)
-				}
-				b, err := analyze.ComputeBounds(m, p.Platform)
-				if err != nil {
-					t.Fatalf("%s: %s: %v", label, p.Label, err)
-				}
-				pf, err := power.NewProfile(m, p.Platform, power.Params{})
-				if err != nil {
-					t.Fatalf("%s: %s: %v", label, p.Label, err)
-				}
-				lbPJ := pf.LowerBoundPJ(b.LowerPs)
-				if p.LowerPs != b.LowerPs || p.UpperPs != b.UpperPs ||
-					math.Float64bits(p.EnergyLBPJ) != math.Float64bits(lbPJ) {
-					t.Fatalf("%s: %s: grouped (%d, %d, %v), per candidate (%d, %d, %v)",
-						label, p.Label, p.LowerPs, p.UpperPs, p.EnergyLBPJ, b.LowerPs, b.UpperPs, lbPJ)
+		return clocks
+	}
+	caClock := platform.Hz(sp.CAClockMHz) * platform.MHz
+
+	var out []*platform.Platform
+	for _, segs := range sp.Segments {
+		for _, mapping := range sp.Mappings {
+			var alloc place.Allocation
+			var err error
+			switch mapping {
+			case MappingSolve:
+				alloc, err = place.Solve(cm, segs, place.Options{})
+			case MappingRoundRobin:
+				alloc, err = place.RoundRobin(cm, segs)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("explore: %s mapping onto %d segments: %w", mapping, segs, err)
+			}
+			for _, size := range sp.PackageSizes {
+				for _, header := range sp.HeaderTicks {
+					for _, hop := range sp.CAHopTicks {
+						label := fmt.Sprintf("%s/seg=%d/%s/s=%d/h=%d/ca=%d",
+							sp.Name, segs, mapping, size, header, hop)
+						plat, err := core.PlatformFromAllocation(label, alloc, clocksFor(segs), caClock, size, header, hop)
+						if err != nil {
+							return nil, fmt.Errorf("explore: %s: %w", label, err)
+						}
+						out = append(out, plat)
+					}
 				}
 			}
 		}
 	}
-	check("reference", apps.MP3Model(), ReferenceMP3Space())
+	return out, nil
+}
+
+// TestGroupedBoundsMatchPerCandidate is the point-level oracle for
+// the platforms the explorer builds: against every candidate's own
+// reference platform (refPlatforms), each point's bounds and energy
+// bound equal the per-candidate analysis, each emulated point carries
+// a platform deeply equal to the reference, and every other point
+// carries none.
+func TestGroupedBoundsMatchPerCandidate(t *testing.T) {
+	check := func(label string, m *psdf.Model, space *Space, opts Options) {
+		t.Helper()
+		res, err := Run(m, space, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		ref, err := refPlatforms(m, space)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if len(ref) != len(res.Points) {
+			t.Fatalf("%s: %d reference platforms for %d points", label, len(ref), len(res.Points))
+		}
+		for i := range res.Points {
+			p := &res.Points[i]
+			if p.Label != ref[i].Name {
+				t.Fatalf("%s: point %d is %s, reference %s", label, i, p.Label, ref[i].Name)
+			}
+			b, err := analyze.ComputeBounds(m, ref[i])
+			if err != nil {
+				t.Fatalf("%s: %s: %v", label, p.Label, err)
+			}
+			pf, err := power.NewProfile(m, ref[i], power.Params{})
+			if err != nil {
+				t.Fatalf("%s: %s: %v", label, p.Label, err)
+			}
+			lbPJ := pf.LowerBoundPJ(b.LowerPs)
+			if p.LowerPs != b.LowerPs || p.UpperPs != b.UpperPs ||
+				math.Float64bits(p.EnergyLBPJ) != math.Float64bits(lbPJ) {
+				t.Fatalf("%s: %s: grouped (%d, %d, %v), per candidate (%d, %d, %v)",
+					label, p.Label, p.LowerPs, p.UpperPs, p.EnergyLBPJ, b.LowerPs, b.UpperPs, lbPJ)
+			}
+			if p.Emulated {
+				if !reflect.DeepEqual(p.Platform, ref[i]) {
+					t.Fatalf("%s: %s: emulated on %+v, reference %+v", label, p.Label, p.Platform, ref[i])
+				}
+			} else if p.Platform != nil {
+				t.Fatalf("%s: %s: unemulated point carries a platform", label, p.Label)
+			}
+		}
+	}
+	check("reference", apps.MP3Model(), ReferenceMP3Space(), Options{})
+	check("reference exhaustive", apps.MP3Model(), ReferenceMP3Space(), Options{NoPrune: true})
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m := apps.RandomModel(rng, 3, 3, 4)
-		check(fmt.Sprintf("seed %d", seed), m, randomSpace(rng, len(m.Processes())))
+		check(fmt.Sprintf("seed %d", seed), m, randomSpace(rng, len(m.Processes())), Options{})
 	}
 }
 

@@ -71,10 +71,10 @@ type Space struct {
 	CAClockMHz int `json:"ca_clock_mhz,omitempty"`
 }
 
-// Candidate is one enumerated configuration: the axis values plus the
-// concrete platform they produce. Index is the candidate's position
-// in enumeration order — the identity every deterministic merge keys
-// on.
+// Candidate is one enumerated configuration: the axis values and the
+// platform of its (segments, mapping, package size) group. Index is
+// the candidate's position in enumeration order — the identity every
+// deterministic merge keys on.
 type Candidate struct {
 	Index       int    `json:"index"`
 	Label       string `json:"label"`
@@ -84,7 +84,18 @@ type Candidate struct {
 	HeaderTicks int    `json:"headerTicks"`
 	CAHopTicks  int    `json:"caHopTicks"`
 
+	// Platform is the candidate's own platform: its group's, named
+	// Label and carrying the candidate's tick values. It is nil on
+	// return from Enumerate; Run builds it just before emulating the
+	// candidate, so it is set exactly on emulated points.
 	Platform *platform.Platform `json:"-"`
+
+	// group is the platform shared by every candidate of the same
+	// (segments, mapping, package size): the same pointer for the
+	// whole group, whose members are contiguous in enumeration order.
+	// Its Name is the label prefix the members share; its tick fields
+	// are zero and read by nobody.
+	group *platform.Platform
 }
 
 // withDefaults returns a copy with the documented axis defaults
@@ -160,8 +171,10 @@ func (s *Space) Size() int {
 // list, in the canonical order the explorer's determinism guarantees
 // key on: segments (as listed) ≫ mapping ≫ package size ≫ header
 // ticks ≫ CA hop ticks. Each (segments, mapping) pair solves its
-// placement exactly once; the per-candidate platforms are clones with
-// the remaining axes substituted.
+// placement exactly once, and each (segments, mapping, package size)
+// group builds one platform that all its tick pairs share; no
+// candidate gets a platform of its own here (Candidate.Platform is
+// nil).
 //
 // The whole space must be feasible: a segment count the model cannot
 // populate fails enumeration rather than silently shrinking the
@@ -172,18 +185,14 @@ func (s *Space) Enumerate(m *psdf.Model) ([]Candidate, error) {
 		return nil, err
 	}
 	cm := m.CommunicationMatrix()
-
-	clocksFor := func(n int) []platform.Hz {
-		clocks := make([]platform.Hz, n)
-		for i := range clocks {
-			clocks[i] = platform.Hz(sp.SegmentClocksMHz[i%len(sp.SegmentClocksMHz)]) * platform.MHz
-		}
-		return clocks
-	}
 	caClock := platform.Hz(sp.CAClockMHz) * platform.MHz
 
 	var out []Candidate
 	for _, segs := range sp.Segments {
+		clocks := make([]platform.Hz, segs)
+		for i := range clocks {
+			clocks[i] = platform.Hz(sp.SegmentClocksMHz[i%len(sp.SegmentClocksMHz)]) * platform.MHz
+		}
 		for _, mapping := range sp.Mappings {
 			var alloc place.Allocation
 			var err error
@@ -197,23 +206,22 @@ func (s *Space) Enumerate(m *psdf.Model) ([]Candidate, error) {
 				return nil, fmt.Errorf("explore: %s mapping onto %d segments: %w", mapping, segs, err)
 			}
 			for _, size := range sp.PackageSizes {
+				name := fmt.Sprintf("%s/seg=%d/%s/s=%d", sp.Name, segs, mapping, size)
+				group, err := core.PlatformFromAllocation(name, alloc, clocks, caClock, size, 0, 0)
+				if err != nil {
+					return nil, fmt.Errorf("explore: %s: %w", name, err)
+				}
 				for _, header := range sp.HeaderTicks {
 					for _, hop := range sp.CAHopTicks {
-						label := fmt.Sprintf("%s/seg=%d/%s/s=%d/h=%d/ca=%d",
-							sp.Name, segs, mapping, size, header, hop)
-						plat, err := core.PlatformFromAllocation(label, alloc, clocksFor(segs), caClock, size, header, hop)
-						if err != nil {
-							return nil, fmt.Errorf("explore: %s: %w", label, err)
-						}
 						out = append(out, Candidate{
 							Index:       len(out),
-							Label:       label,
+							Label:       fmt.Sprintf("%s/h=%d/ca=%d", name, header, hop),
 							Segments:    segs,
 							Mapping:     mapping,
 							PackageSize: size,
 							HeaderTicks: header,
 							CAHopTicks:  hop,
-							Platform:    plat,
+							group:       group,
 						})
 					}
 				}

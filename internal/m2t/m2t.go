@@ -22,17 +22,15 @@ import (
 )
 
 // xmlEscape escapes the five XML special characters in text content
-// and attribute values.
-func xmlEscape(s string) string {
-	r := strings.NewReplacer(
-		"&", "&amp;",
-		"<", "&lt;",
-		">", "&gt;",
-		`"`, "&quot;",
-		"'", "&apos;",
-	)
-	return r.Replace(s)
-}
+// and attribute values. A strings.Replacer is safe for concurrent
+// use, so the one built here serves every generation.
+var xmlEscape = strings.NewReplacer(
+	"&", "&amp;",
+	"<", "&lt;",
+	">", "&gt;",
+	`"`, "&quot;",
+	"'", "&apos;",
+).Replace
 
 // builder assembles an indented XML document.
 type builder struct {

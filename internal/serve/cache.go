@@ -128,11 +128,13 @@ func hexNibble(b byte) (uint32, bool) {
 	return 0, false
 }
 
-// shardFor routes a key to its shard index. The key is normally a hex
-// SHA-256 fingerprint, whose first two characters are a uniformly
-// distributed byte — the prefix alone routes evenly. Shorter or
-// non-hex keys fall back to an FNV-1a hash of the raw bytes, so any
-// string routes deterministically.
+// shardFor routes a key to its shard index. A core.Key address is a
+// hex SHA-256 fingerprint, whose first two characters are a uniformly
+// distributed byte — the prefix alone routes evenly. Any other key,
+// shorter or not led by two hex digits (as nearly all of the
+// raw-request index's binary SHA-256 digests are not), falls back to
+// an FNV-1a hash of its bytes, so every string routes
+// deterministically and evenly.
 func (c *Cache) shardFor(key string) uint32 {
 	if len(key) >= 2 {
 		if hi, ok := hexNibble(key[0]); ok {
@@ -146,68 +148,6 @@ func (c *Cache) shardFor(key string) uint32 {
 		h = (h ^ uint32(key[i])) * 16777619
 	}
 	return h & c.mask
-}
-
-// shardForBytes routes a raw binary key (a SHA-256 digest) to its
-// shard: the first byte is uniformly distributed by construction, so
-// it routes evenly on its own. Raw keys live in their own Cache
-// instance (the raw-request index), so the two routing schemes never
-// mix within one cache.
-func (c *Cache) shardForBytes(key []byte) uint32 {
-	if len(key) == 0 {
-		return 0
-	}
-	return uint32(key[0]) & c.mask
-}
-
-// GetBytes is Get for a raw binary key. The lookup converts the key
-// in place (the compiler elides the map-index string conversion), so
-// a probe performs zero heap allocations — the property the raw
-// fast path's latency depends on.
-func (c *Cache) GetBytes(key []byte) ([]byte, bool) {
-	if c == nil || c.max <= 0 {
-		return nil, false
-	}
-	s := c.shards[c.shardForBytes(key)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[string(key)]
-	if !ok {
-		s.misses++
-		s.mMisses.Inc()
-		return nil, false
-	}
-	s.hits++
-	s.mHits.Inc()
-	s.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).val, true
-}
-
-// PutBytes is Put for a raw binary key; the key is copied into an
-// owned string only when a new entry is inserted.
-func (c *Cache) PutBytes(key []byte, val []byte) (evicted bool) {
-	if c == nil || c.max <= 0 {
-		return false
-	}
-	s := c.shards[c.shardForBytes(key)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[string(key)]; ok {
-		el.Value.(*cacheEntry).val = val
-		s.ll.MoveToFront(el)
-		return false
-	}
-	k := string(key)
-	s.items[k] = s.ll.PushFront(&cacheEntry{key: k, val: val})
-	if s.ll.Len() <= s.max {
-		return false
-	}
-	oldest := s.ll.Back()
-	s.ll.Remove(oldest)
-	delete(s.items, oldest.Value.(*cacheEntry).key)
-	s.evictions++
-	s.mEvictions.Inc()
-	return true
 }
 
 // ShardFor returns the shard index a key routes to, or -1 when

@@ -86,24 +86,26 @@ func (rh *rawHasher) requestKey(req *EstimateRequest) []byte {
 // bytes, ready to write verbatim. The probe allocates nothing in
 // steady state — it is the first thing the /estimate handler tries
 // after decoding, and every request of the repository benchmark's
-// serve_warm workload stops here. Exposed for tests and the load
-// harness.
+// serve_warm workload stops here: Get's key does not escape, so the
+// digest's conversion to a string stays on the stack. Exposed for
+// tests and the load harness.
 func (s *Server) RawProbe(req *EstimateRequest) ([]byte, bool) {
 	if s.rawIndex == nil {
 		return nil, false
 	}
 	rh := rawHashers.Get().(*rawHasher)
-	body, ok := s.rawIndex.GetBytes(rh.requestKey(req))
+	body, ok := s.rawIndex.Get(string(rh.requestKey(req)))
 	rawHashers.Put(rh)
 	return body, ok
 }
 
-// rawStore records a 200 response under the request's raw key.
+// rawStore records a 200 response under the request's raw key; the
+// digest's string conversion is the owned key the index keeps.
 func (s *Server) rawStore(req *EstimateRequest, body []byte) {
 	if s.rawIndex == nil {
 		return
 	}
 	rh := rawHashers.Get().(*rawHasher)
-	s.rawIndex.PutBytes(rh.requestKey(req), body)
+	s.rawIndex.Put(string(rh.requestKey(req)), body)
 	rawHashers.Put(rh)
 }

@@ -94,43 +94,32 @@ func run(m *psdf.Model, variants []*platform.Platform, values []int64, param str
 	return c
 }
 
+// vary clones base once per value, applies set to each clone and runs
+// the clones as the curve of param.
+func vary[T int | platform.Hz](m *psdf.Model, base *platform.Platform, vals []T, param string, set func(*platform.Platform, T), o Options) Curve {
+	variants := make([]*platform.Platform, len(vals))
+	values := make([]int64, len(vals))
+	for i, v := range vals {
+		variants[i] = base.Clone()
+		set(variants[i], v)
+		values[i] = int64(v)
+	}
+	return run(m, variants, values, param, o)
+}
+
 // PackageSizes sweeps the platform package size.
 func PackageSizes(m *psdf.Model, base *platform.Platform, sizes []int, opts ...Options) Curve {
-	variants := make([]*platform.Platform, len(sizes))
-	values := make([]int64, len(sizes))
-	for i, s := range sizes {
-		p := base.Clone()
-		p.PackageSize = s
-		variants[i] = p
-		values[i] = int64(s)
-	}
-	return run(m, variants, values, "packageSize", first(opts))
+	return vary(m, base, sizes, "packageSize", func(p *platform.Platform, s int) { p.PackageSize = s }, first(opts))
 }
 
 // HeaderTicks sweeps the per-package protocol overhead.
 func HeaderTicks(m *psdf.Model, base *platform.Platform, ticks []int, opts ...Options) Curve {
-	variants := make([]*platform.Platform, len(ticks))
-	values := make([]int64, len(ticks))
-	for i, h := range ticks {
-		p := base.Clone()
-		p.HeaderTicks = h
-		variants[i] = p
-		values[i] = int64(h)
-	}
-	return run(m, variants, values, "headerTicks", first(opts))
+	return vary(m, base, ticks, "headerTicks", func(p *platform.Platform, h int) { p.HeaderTicks = h }, first(opts))
 }
 
 // CAHopTicks sweeps the central arbiter's chain set-up cost.
 func CAHopTicks(m *psdf.Model, base *platform.Platform, ticks []int, opts ...Options) Curve {
-	variants := make([]*platform.Platform, len(ticks))
-	values := make([]int64, len(ticks))
-	for i, h := range ticks {
-		p := base.Clone()
-		p.CAHopTicks = h
-		variants[i] = p
-		values[i] = int64(h)
-	}
-	return run(m, variants, values, "caHopTicks", first(opts))
+	return vary(m, base, ticks, "caHopTicks", func(p *platform.Platform, h int) { p.CAHopTicks = h }, first(opts))
 }
 
 // SegmentClock sweeps one segment's clock frequency (1-based index).
@@ -138,15 +127,8 @@ func SegmentClock(m *psdf.Model, base *platform.Platform, segment int, clocks []
 	if base.Segment(segment) == nil {
 		return Curve{}, fmt.Errorf("sweep: no segment %d", segment)
 	}
-	variants := make([]*platform.Platform, len(clocks))
-	values := make([]int64, len(clocks))
-	for i, hz := range clocks {
-		p := base.Clone()
-		p.Segment(segment).Clock = hz
-		variants[i] = p
-		values[i] = int64(hz)
-	}
-	return run(m, variants, values, fmt.Sprintf("segment%dClockHz", segment), first(opts)), nil
+	return vary(m, base, clocks, fmt.Sprintf("segment%dClockHz", segment),
+		func(p *platform.Platform, hz platform.Hz) { p.Segment(segment).Clock = hz }, first(opts)), nil
 }
 
 // CSV renders the curve as two-column CSV (value, exec_us); failed
