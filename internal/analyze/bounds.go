@@ -174,6 +174,16 @@ func (a affine) at(header, caHop int64) int64 {
 	return a.c0 + a.ch*header + a.cca*caHop
 }
 
+// serialChain is one process's serial emission chain within a stage:
+// its summed latency, and the segment (as a 0-based position, which
+// Validate makes index-1) that the last transaction of its last
+// emission lands on — the source segment of an intra-segment flow,
+// else the segment its last hop enters.
+type serialChain struct {
+	latency affine
+	last    int
+}
+
 // segmentTerm is one segment's bus occupancy: ticks (affine in the
 // header ticks only) at the segment's clock period.
 type segmentTerm struct {
@@ -199,8 +209,9 @@ type AffineBounds struct {
 	// chains holds, per stage in ascending order, each source
 	// process's serial emission chain; their order within a stage
 	// is irrelevant, as only their max is taken.
-	chains   [][]affine
+	chains   [][]serialChain
 	segments []segmentTerm // plat.Segments order
+	caPeriod int64
 	// upper is the full-serialisation work with the end-detection
 	// allowance folded into its constant.
 	upper affine
@@ -243,7 +254,7 @@ func (q *BoundsQuery) Affine(plat *platform.Platform) (*AffineBounds, error) {
 		}
 	}
 
-	a := &AffineBounds{packageSize: plat.PackageSize, totalPackages: sch.TotalPackages()}
+	a := &AffineBounds{packageSize: plat.PackageSize, totalPackages: sch.TotalPackages(), caPeriod: caPeriod}
 	segTicks := make([]affine, len(plat.Segments)+1)
 	// Every border unit gets an entry, so fully idle BUs still show
 	// up as the cold side of an imbalance. BUs() lists unit i as
@@ -281,7 +292,7 @@ func (q *BoundsQuery) Affine(plat *platform.Platform) (*AffineBounds, error) {
 	// Serial per-process emission chains, per stage: a program lists
 	// a process's emissions stage by stage, so each stage's chain is
 	// one run of entries.
-	a.chains = make([][]affine, sch.NumStages())
+	a.chains = make([][]serialChain, sch.NumStages())
 	for _, p := range m.Processes() {
 		prog := sch.Program(p)
 		var chain affine
@@ -301,6 +312,7 @@ func (q *BoundsQuery) Affine(plat *platform.Platform) (*AffineBounds, error) {
 			a.caHops += hops
 			// One unload transaction per crossed BU, charged on the
 			// entered segment's bus and clock.
+			last := r.src
 			for _, bu := range r.route {
 				entered := bu.Right
 				if !r.rightward {
@@ -308,6 +320,7 @@ func (q *BoundsQuery) Affine(plat *platform.Platform) (*AffineBounds, error) {
 				}
 				segTicks[entered] = segTicks[entered].plus(tx)
 				latency = latency.plus(affine{c0: items * periods[entered], ch: periods[entered]})
+				last = entered
 			}
 			chain = chain.plus(latency)
 			// Full-serialisation allowance: the package's isolated
@@ -318,7 +331,7 @@ func (q *BoundsQuery) Affine(plat *platform.Platform) (*AffineBounds, error) {
 			a.upper = a.upper.plus(latency)
 			a.upper.c0 += (4 + 3*hops) * maxPeriod
 			if i+1 == len(prog) || prog[i+1].Stage != e.Stage {
-				a.chains[e.Stage] = append(a.chains[e.Stage], chain)
+				a.chains[e.Stage] = append(a.chains[e.Stage], serialChain{latency: chain, last: last - 1})
 				chain = affine{}
 			}
 		}
@@ -334,27 +347,67 @@ func (q *BoundsQuery) Affine(plat *platform.Platform) (*AffineBounds, error) {
 }
 
 // figures evaluates the critical path, the peak segment load and the
-// upper bound at the given ticks.
-func (a *AffineBounds) figures(header, caHop int64) (criticalPs, busLoadPs, upperPs int64) {
+// upper bound at the given ticks. A non-nil sa (one slot per segment,
+// plat.Segments order) receives each segment arbiter's TCT lower
+// bound; see At.
+func (a *AffineBounds) figures(header, caHop int64, sa []int64) (criticalPs, busLoadPs, upperPs int64) {
+	// sa first collects each segment's finish bound in picoseconds,
+	// then is converted to ticks below.
+	clear(sa)
 	for _, stage := range a.chains {
 		var stageMax int64
 		for _, c := range stage {
-			stageMax = max(stageMax, c.at(header, caHop))
+			end := c.latency.at(header, caHop)
+			stageMax = max(stageMax, end)
+			if sa != nil {
+				sa[c.last] = max(sa[c.last], criticalPs+end)
+			}
 		}
 		criticalPs += stageMax
 	}
-	for _, seg := range a.segments {
-		busLoadPs = max(busLoadPs, seg.ticks.at(header, 0)*seg.period)
+	for i, seg := range a.segments {
+		ticks := seg.ticks.at(header, 0)
+		busLoadPs = max(busLoadPs, ticks*seg.period)
+		if sa != nil {
+			sa[i] = max(ticks, (sa[i]+seg.period-1)/seg.period)
+		}
 	}
 	return criticalPs, busLoadPs, a.upper.at(header, caHop)
 }
 
 // At returns the lower and upper execution-time bounds of the pair
 // with the platform's HeaderTicks and CAHopTicks replaced by the given
-// (non-negative) values. It allocates nothing.
-func (a *AffineBounds) At(headerTicks, caHopTicks int) (lowerPs, upperPs int64) {
-	critical, busLoad, upper := a.figures(int64(headerTicks), int64(caHopTicks))
-	return max(critical, busLoad), upper
+// (non-negative) values, together with lower bounds on the arbiter
+// tick counts (TCT) an emulation with the default configuration
+// reports: it writes each segment arbiter's bound into saTicks, which
+// must hold one slot per segment in plat.Segments order, and returns
+// the central arbiter's as caTicks. It allocates nothing.
+//
+// The arbiter bounds rest on the emulator's section-4 accounting. A
+// segment arbiter's TCT is TicksElapsed(lastBusy), the segment's last
+// transaction end rounded up to its clock; the CA's is
+// TicksElapsed(EndPs) + DetectTicks, with EndPs the last delivery.
+//
+//   - Bus load: a segment's bus serialises its transactions from time
+//     zero and each occupies at least header + items ticks, so
+//     lastBusy is at least the segment's bus ticks times its period.
+//   - Finish: stages are strict barriers, so stage k starts no
+//     earlier than the sum of the earlier stages' largest chains, and
+//     a process's stage-k emissions run serially after that. The last
+//     one's final transaction therefore ends no earlier than that sum
+//     plus the chain, on the segment the chain records — the same
+//     argument as CriticalPathPs, carried to the segment it ends on.
+//     The SA bound is the larger of the two, in whole ticks.
+//   - CA: every transaction ends at or before a delivery (a fill or a
+//     forwarding unload is followed by the package's later hops), so
+//     lastBusy ≤ EndPs on every segment, which bounds BusLoadPs; the
+//     last stage's final delivery bounds CriticalPathPs. So LowerPs ≤
+//     EndPs — stronger than LowerPs ≤ ExecutionTimePs — and the CA
+//     bound is ceil(LowerPs / CA period) + DefaultDetectTicks.
+func (a *AffineBounds) At(headerTicks, caHopTicks int, saTicks []int64) (lowerPs, upperPs, caTicks int64) {
+	critical, busLoad, upper := a.figures(int64(headerTicks), int64(caHopTicks), saTicks)
+	lowerPs = max(critical, busLoad)
+	return lowerPs, upper, (lowerPs+a.caPeriod-1)/a.caPeriod + emulator.DefaultDetectTicks
 }
 
 // bounds evaluates the full static figures at the given ticks.
@@ -365,7 +418,7 @@ func (a *AffineBounds) bounds(headerTicks, caHopTicks int) *Bounds {
 		TotalPackages: a.totalPackages,
 		CASetupTicks:  a.caHops * caHop,
 	}
-	b.CriticalPathPs, b.BusLoadPs, b.UpperPs = a.figures(header, caHop)
+	b.CriticalPathPs, b.BusLoadPs, b.UpperPs = a.figures(header, caHop, nil)
 	b.LowerPs = max(b.CriticalPathPs, b.BusLoadPs)
 	for _, seg := range a.segments {
 		ticks := seg.ticks.at(header, 0)

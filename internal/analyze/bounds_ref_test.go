@@ -180,7 +180,10 @@ var diffTicks = []int{0, 1, 3, 7, 25, 101, 1_000_000}
 // checkAffineAgainstReference asserts the coefficient pass is exact:
 // Bounds equals the reference loop field for field, and At and the
 // full evaluation at every tick pair equal the reference run on a
-// clone carrying those ticks.
+// clone carrying those ticks. At's arbiter-tick bounds must agree with
+// the reference figures they derive from: the CA's is the reference
+// lower bound in CA ticks plus the detection latency, and no SA's is
+// below its segment's bus ticks.
 func checkAffineAgainstReference(t *testing.T, label string, m *psdf.Model, plat *platform.Platform) {
 	t.Helper()
 	want, err := referenceBounds(m, plat)
@@ -210,8 +213,19 @@ func checkAffineAgainstReference(t *testing.T, label string, m *psdf.Model, plat
 			if err != nil {
 				t.Fatalf("%s h=%d ca=%d: reference: %v", label, h, ca, err)
 			}
-			if lo, up := a.At(h, ca); lo != ref.LowerPs || up != ref.UpperPs {
+			saTicks := make([]int64, len(plat.Segments))
+			lo, up, caTicks := a.At(h, ca, saTicks)
+			if lo != ref.LowerPs || up != ref.UpperPs {
 				t.Fatalf("%s h=%d ca=%d: At = (%d, %d), reference (%d, %d)", label, h, ca, lo, up, ref.LowerPs, ref.UpperPs)
+			}
+			caPeriod := plat.CAClock.PeriodPs()
+			if want := (ref.LowerPs+caPeriod-1)/caPeriod + emulator.DefaultDetectTicks; caTicks != want {
+				t.Fatalf("%s h=%d ca=%d: CA tick bound %d, want %d", label, h, ca, caTicks, want)
+			}
+			for i, seg := range ref.Segments {
+				if saTicks[i] < seg.BusTicks {
+					t.Fatalf("%s h=%d ca=%d: SA%d tick bound %d below its bus ticks %d", label, h, ca, seg.Segment, saTicks[i], seg.BusTicks)
+				}
 			}
 			if full := a.bounds(h, ca); !reflect.DeepEqual(full, ref) {
 				t.Fatalf("%s h=%d ca=%d: evaluation diverged from the reference\ngot  %+v\nwant %+v", label, h, ca, full, ref)

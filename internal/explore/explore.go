@@ -164,12 +164,13 @@ func (a *archive) dominatedLB(lbPs int64, lbPJ float64) bool {
 //
 // Soundness: analyze guarantees LowerPs ≤ actual ExecPs (the bounds
 // chain the conform oracles pin — the documented scheduling anomaly
-// concerns the refined model beating the *estimate*, not the bound),
-// and power.Profile.LowerBoundPJ ≤ actual TotalPJ down to the last
-// ULP. So if an emulated point e is strictly better than a
-// candidate's bounds on both objectives, it is strictly better than
-// the candidate's true values too, and the candidate can neither
-// enter the Pareto front nor displace anything from it. Pruning
+// concerns the refined model beating the *estimate*, not the bound)
+// and arbiter-tick bounds no larger than the emulated SA and CA TCTs;
+// power.Profile.LowerBoundPJ, priced at those bounds, is ≤ actual
+// TotalPJ down to the last ULP. So if an emulated point e is strictly
+// better than a candidate's bounds on both objectives, it is strictly
+// better than the candidate's true values too, and the candidate can
+// neither enter the Pareto front nor displace anything from it. Pruning
 // therefore never changes the front — the property test diffs pruned
 // vs exhaustive fronts across hundreds of generated spaces.
 //
@@ -238,6 +239,9 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 		} else if pf, err = power.NewProfile(m, plat, power.Params{}); err != nil {
 			err = fmt.Errorf("power profile: %w", err)
 		}
+		// One slot per segment for the SA tick bounds, reused by
+		// every member of the group.
+		saTicks := make([]int64, len(plat.Segments))
 		for i := starts[g]; i < starts[g+1]; i++ {
 			pt := &res.Points[i]
 			pt.Candidate = cands[i]
@@ -245,8 +249,9 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 				pt.Err = err
 				continue
 			}
-			pt.LowerPs, pt.UpperPs = ab.At(pt.HeaderTicks, pt.CAHopTicks)
-			pt.EnergyLBPJ = pf.LowerBoundPJ(pt.LowerPs)
+			var caTicks int64
+			pt.LowerPs, pt.UpperPs, caTicks = ab.At(pt.HeaderTicks, pt.CAHopTicks, saTicks)
+			pt.EnergyLBPJ = pf.LowerBoundPJ(pt.LowerPs, saTicks, caTicks)
 		}
 		boundsNs.Add(time.Since(start).Nanoseconds())
 	})

@@ -199,7 +199,9 @@ func refPlatforms(m *psdf.Model, space *Space) ([]*platform.Platform, error) {
 // TestGroupedBoundsMatchPerCandidate is the point-level oracle for
 // the platforms the explorer builds: against every candidate's own
 // reference platform (refPlatforms), each point's bounds and energy
-// bound equal the per-candidate analysis, each emulated point carries
+// bound equal the per-candidate analysis (that platform's own Affine
+// form evaluated at its own ticks, the arbiter-tick bounds priced by
+// its own power profile), each emulated point carries
 // a platform deeply equal to the reference, and every other point
 // carries none.
 func TestGroupedBoundsMatchPerCandidate(t *testing.T) {
@@ -216,24 +218,30 @@ func TestGroupedBoundsMatchPerCandidate(t *testing.T) {
 		if len(ref) != len(res.Points) {
 			t.Fatalf("%s: %d reference platforms for %d points", label, len(ref), len(res.Points))
 		}
+		q, err := analyze.NewBoundsQuery(m)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
 		for i := range res.Points {
 			p := &res.Points[i]
 			if p.Label != ref[i].Name {
 				t.Fatalf("%s: point %d is %s, reference %s", label, i, p.Label, ref[i].Name)
 			}
-			b, err := analyze.ComputeBounds(m, ref[i])
+			ab, err := q.Affine(ref[i])
 			if err != nil {
 				t.Fatalf("%s: %s: %v", label, p.Label, err)
 			}
+			saTicks := make([]int64, ref[i].NumSegments())
+			lowerPs, upperPs, caTicks := ab.At(ref[i].HeaderTicks, ref[i].CAHopTicks, saTicks)
 			pf, err := power.NewProfile(m, ref[i], power.Params{})
 			if err != nil {
 				t.Fatalf("%s: %s: %v", label, p.Label, err)
 			}
-			lbPJ := pf.LowerBoundPJ(b.LowerPs)
-			if p.LowerPs != b.LowerPs || p.UpperPs != b.UpperPs ||
+			lbPJ := pf.LowerBoundPJ(lowerPs, saTicks, caTicks)
+			if p.LowerPs != lowerPs || p.UpperPs != upperPs ||
 				math.Float64bits(p.EnergyLBPJ) != math.Float64bits(lbPJ) {
 				t.Fatalf("%s: %s: grouped (%d, %d, %v), per candidate (%d, %d, %v)",
-					label, p.Label, p.LowerPs, p.UpperPs, p.EnergyLBPJ, b.LowerPs, b.UpperPs, lbPJ)
+					label, p.Label, p.LowerPs, p.UpperPs, p.EnergyLBPJ, lowerPs, upperPs, lbPJ)
 			}
 			if p.Emulated {
 				if !reflect.DeepEqual(p.Platform, ref[i]) {
@@ -316,9 +324,10 @@ func TestPruneSoundnessProperty(t *testing.T) {
 
 // TestReferenceSpaceDeterminism runs the 10240-candidate reference
 // space at 1, 4 and 8 workers: the full JSON report must be
-// byte-identical, the pruning ratio must clear the 50%% the ISSUE
-// demands (it is well above), and the pruned front must equal the
-// exhaustive front.
+// byte-identical, the pruning ratio must clear 50% (it is well
+// above), at most 64 candidates may be emulated (a structural count
+// of the bounds' strength, independent of the worker count), and the
+// pruned front must equal the exhaustive front.
 func TestReferenceSpaceDeterminism(t *testing.T) {
 	m := apps.MP3Model()
 	space := ReferenceMP3Space()
@@ -350,6 +359,9 @@ func TestReferenceSpaceDeterminism(t *testing.T) {
 	}
 	if base.PruningRatio < 0.5 {
 		t.Fatalf("pruning ratio %.3f below the 0.5 floor", base.PruningRatio)
+	}
+	if base.Emulated > 64 {
+		t.Fatalf("%d candidates emulated, want at most 64", base.Emulated)
 	}
 	if base.Errors != 0 {
 		t.Fatalf("%d candidate errors on the reference space", base.Errors)

@@ -12,8 +12,8 @@ import (
 // the model's flows and the bus topology before any emulation
 // happens. Estimate derives its bus and compute energies from exactly
 // these figures; the design-space explorer uses them, together with
-// analyze's latency lower bound, to lower-bound a candidate's energy
-// without emulating it.
+// analyze's latency and arbiter-tick lower bounds, to lower-bound a
+// candidate's energy without emulating it.
 //
 // The compute figure is charged per flow as ceil(C·Items/nominal)
 // (C per package when the model declares no nominal package size).
@@ -111,30 +111,37 @@ func (pf *Profile) TotalBUItems() int64 {
 
 // LowerBoundPJ returns a provable lower bound on the TotalPJ of any
 // run of this pair that executes in at least latencyLBPs picoseconds
-// (analyze's Bounds.LowerPs supplies that figure):
+// and whose arbiters count at least saTicks (one entry per segment,
+// in plat.Segments order) and caTicks clock ticks. analyze's
+// AffineBounds.At supplies all three figures for an emulation with
+// the default configuration:
 //
 //   - bus, BU and compute energies are run-independent and counted
 //     exactly as Estimate counts them;
-//   - arbiter activity (SA, CA) is bounded below by zero;
+//   - arbiter activity (SA, CA) is priced at the tick lower bounds,
+//     each at most the TCT Estimate prices;
 //   - static leakage is monotone in the run time, so pricing it at
 //     the latency lower bound bounds it below.
 //
 // Soundness down to the last ULP: the terms are accumulated in the
-// same order as Estimate's with the SA/CA terms replaced by zero, and
-// IEEE-754 round-to-nearest is monotone, so the float result can
-// never exceed Estimate's TotalPJ for the same pair. The prune
-// soundness property test exercises this across generated spaces.
-func (pf *Profile) LowerBoundPJ(latencyLBPs int64) float64 {
+// same order as Estimate's (bus + SA + compute per segment, then the
+// BUs, then the CA), each term is at most its counterpart there, and
+// IEEE-754 round-to-nearest conversion, product and sum are monotone
+// for the non-negative coefficients, so the float result can never
+// exceed Estimate's TotalPJ for the same pair. The explorer's energy
+// bound soundness tests exercise this across generated spaces.
+func (pf *Profile) LowerBoundPJ(latencyLBPs int64, saTicks []int64, caTicks int64) float64 {
 	var dynamic float64
-	for _, seg := range pf.segOrder {
+	for i, seg := range pf.segOrder {
 		busPJ := float64(pf.busItems[seg]) * pf.params.BusPJPerItem
+		saPJ := float64(saTicks[i]) * pf.params.SAPJPerTick
 		computePJ := float64(pf.compTicks[seg]) * pf.params.FUPJPerTick
-		dynamic += busPJ + 0 + computePJ
+		dynamic += busPJ + saPJ + computePJ
 	}
 	for _, bu := range pf.buOrder {
 		dynamic += float64(pf.buItems[bu.Left]) * pf.params.BUPJPerItem
 	}
-	dynamic += 0 // CA activity ≥ 0
+	dynamic += float64(caTicks) * pf.params.CAPJPerTick
 
 	runSeconds := float64(latencyLBPs) * 1e-12
 	staticPJ := pf.params.StaticUWPerSeg * 1e-6 * float64(pf.segments) * runSeconds * 1e12

@@ -5,9 +5,11 @@ package power
 // equals what the emulator actually loads (so the "exact dynamic
 // components" of the lower bound really are exact), and the lower
 // bound never exceeds the estimate of a real run, whether priced at
-// analyze's latency LB or at the actual execution time.
+// analyze's latency LB or at the run's last delivery, and equals it
+// when priced at the run's own figures.
 
 import (
+	"math"
 	"testing"
 
 	"segbus/internal/analyze"
@@ -86,20 +88,38 @@ func TestLowerBoundNeverExceedsEstimate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := analyze.ComputeBounds(tc.m, tc.plat)
+		q, err := analyze.NewBoundsQuery(tc.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ab, err := q.Affine(tc.plat)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if b.LowerPs > int64(r.ExecutionTimePs) {
-			t.Fatalf("%s: latency LB %d above actual %d — bounds chain broken", tc.name, b.LowerPs, int64(r.ExecutionTimePs))
+		saTicks := make([]int64, tc.plat.NumSegments())
+		lowerPs, _, caTicks := ab.At(tc.plat.HeaderTicks, tc.plat.CAHopTicks, saTicks)
+		if lowerPs > int64(r.EndPs) {
+			t.Fatalf("%s: latency LB %d above the last delivery %d — bounds chain broken", tc.name, lowerPs, int64(r.EndPs))
 		}
-		if lb := pf.LowerBoundPJ(b.LowerPs); lb > est.TotalPJ {
+		if lb := pf.LowerBoundPJ(lowerPs, saTicks, caTicks); lb > est.TotalPJ {
 			t.Errorf("%s: energy LB %.6f pJ exceeds estimate %.6f pJ", tc.name, lb, est.TotalPJ)
 		}
-		// Even priced at the actual execution time the bound must hold:
-		// the dynamic components are exact and SA/CA are nonnegative.
-		if lb := pf.LowerBoundPJ(int64(r.ExecutionTimePs)); lb > est.TotalPJ {
-			t.Errorf("%s: energy LB at actual latency %.6f pJ exceeds estimate %.6f pJ", tc.name, lb, est.TotalPJ)
+		// Priced at the run's last delivery, which lies between the
+		// latency bound and the execution time, the bound must still
+		// hold: the dynamic components are exact and the arbiter
+		// terms are priced at tick bounds no larger than the TCTs.
+		if lb := pf.LowerBoundPJ(int64(r.EndPs), saTicks, caTicks); lb > est.TotalPJ {
+			t.Errorf("%s: energy LB at the last delivery %.6f pJ exceeds estimate %.6f pJ", tc.name, lb, est.TotalPJ)
+		}
+		// Priced at the run's own execution time and TCTs, it is the
+		// estimate itself, bit for bit: the accumulation order is
+		// Estimate's.
+		actual := make([]int64, len(tc.plat.Segments))
+		for i, seg := range tc.plat.Segments {
+			actual[i] = r.SA(seg.Index).TCT
+		}
+		if lb := pf.LowerBoundPJ(int64(r.ExecutionTimePs), actual, r.CA.TCT); math.Float64bits(lb) != math.Float64bits(est.TotalPJ) {
+			t.Errorf("%s: priced at the run's own figures %v pJ, estimate %v pJ", tc.name, lb, est.TotalPJ)
 		}
 	}
 }

@@ -40,6 +40,13 @@ go test -run '^$' -fuzz '^FuzzProgram$' -fuzztime 10s ./internal/sched
 # breadth-first product (FuzzProduct) on arbitrary DSL documents.
 go test -run '^$' -fuzz '^FuzzProduct$' -fuzztime 10s ./internal/automata
 
+# The explorer prunes on an energy lower bound that prices the segment
+# and central arbiters at static tick bounds; fuzz the inequalities it
+# rests on (each tick bound at most the emulated TCT, the latency bound
+# at most the last delivery, the energy bound at most the estimate) on
+# arbitrary DSL documents (FuzzEnergyBound).
+go test -run '^$' -fuzz '^FuzzEnergyBound$' -fuzztime 10s ./internal/explore
+
 # The serving and CLI front ends run the preflight analyzers only after
 # an emulation fails, on the premise that they find an error exactly
 # when it does; fuzz that equivalence on arbitrary DSL documents.
