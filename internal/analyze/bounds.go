@@ -3,6 +3,7 @@ package analyze
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"segbus/internal/emulator"
 	"segbus/internal/platform"
@@ -138,9 +139,19 @@ func ComputeBounds(m *psdf.Model, plat *platform.Platform) (*Bounds, error) {
 // Affine validates a platform and prices its bounds as integer
 // coefficients in HeaderTicks and CAHopTicks, once per group of
 // platforms that differ only in those two fields; each candidate of
-// the group then costs one AffineBounds.At.
+// the group then costs one AffineBounds.At. The emission schedule
+// depends on the model and the package size only, so the query
+// extracts it once per package size and every later platform of that
+// size reuses it.
+//
+// Safe for concurrent use: the model is read-only after construction,
+// the schedule memo is guarded by a mutex, and a memoised schedule is
+// only read, so explorer workers share one query.
 type BoundsQuery struct {
 	m *psdf.Model
+
+	mu        sync.Mutex
+	schedules map[int]*sched.Schedule // by package size
 }
 
 // NewBoundsQuery validates the model once and returns a query handle.
@@ -148,13 +159,36 @@ func NewBoundsQuery(m *psdf.Model) (*BoundsQuery, error) {
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("analyze: bounds need a valid model: %w", err)
 	}
-	return &BoundsQuery{m: m}, nil
+	return &BoundsQuery{m: m, schedules: make(map[int]*sched.Schedule)}, nil
+}
+
+// schedule returns the model's emission schedule at the package size,
+// extracting it on first use. A failed extraction is not memoised.
+// Two workers missing on the same size both extract; the first to
+// store wins and both return its schedule.
+func (q *BoundsQuery) schedule(packageSize int) (*sched.Schedule, error) {
+	q.mu.Lock()
+	sch, ok := q.schedules[packageSize]
+	q.mu.Unlock()
+	if ok {
+		return sch, nil
+	}
+	sch, err := sched.Extract(q.m, packageSize)
+	if err != nil {
+		return nil, err
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if prev, ok := q.schedules[packageSize]; ok {
+		return prev, nil
+	}
+	q.schedules[packageSize] = sch
+	return sch, nil
 }
 
 // Bounds computes the static figures of the query's model on one
 // candidate platform: its Affine form evaluated at the platform's
-// own ticks. Safe for concurrent use: the handle is read-only after
-// construction, so explorer workers share one.
+// own ticks.
 func (q *BoundsQuery) Bounds(plat *platform.Platform) (*Bounds, error) {
 	a, err := q.Affine(plat)
 	if err != nil {
@@ -227,7 +261,8 @@ type AffineBounds struct {
 // platform's HeaderTicks and CAHopTicks. Past validation, which
 // rejects negative ticks, the platform's own tick values are never
 // read, so one pass serves every platform that differs from plat only
-// in those two (non-negative) fields.
+// in those two (non-negative) fields. The pass reads the query's
+// schedule for the platform's package size and never writes it.
 func (q *BoundsQuery) Affine(plat *platform.Platform) (*AffineBounds, error) {
 	m := q.m
 	if err := plat.Validate(); err != nil {
@@ -237,7 +272,7 @@ func (q *BoundsQuery) Affine(plat *platform.Platform) (*AffineBounds, error) {
 		return nil, fmt.Errorf("analyze: bounds need a complete mapping: %w", err)
 	}
 
-	sch, err := sched.Extract(m, plat.PackageSize)
+	sch, err := q.schedule(plat.PackageSize)
 	if err != nil {
 		return nil, fmt.Errorf("analyze: bounds: %w", err)
 	}

@@ -183,16 +183,13 @@ var diffTicks = []int{0, 1, 3, 7, 25, 101, 1_000_000}
 // clone carrying those ticks. At's arbiter-tick bounds must agree with
 // the reference figures they derive from: the CA's is the reference
 // lower bound in CA ticks plus the detection latency, and no SA's is
-// below its segment's bus ticks.
-func checkAffineAgainstReference(t *testing.T, label string, m *psdf.Model, plat *platform.Platform) {
+// below its segment's bus ticks. The model is q's.
+func checkAffineAgainstReference(t *testing.T, label string, q *BoundsQuery, plat *platform.Platform) {
 	t.Helper()
+	m := q.m
 	want, err := referenceBounds(m, plat)
 	if err != nil {
 		t.Fatalf("%s: reference: %v", label, err)
-	}
-	q, err := NewBoundsQuery(m)
-	if err != nil {
-		t.Fatalf("%s: %v", label, err)
 	}
 	got, err := q.Bounds(plat)
 	if err != nil {
@@ -234,18 +231,40 @@ func checkAffineAgainstReference(t *testing.T, label string, m *psdf.Model, plat
 	}
 }
 
-func TestAffineMatchesReferenceCorpus(t *testing.T) {
-	m := apps.MP3Model()
-	for _, s := range []int{4, 18, 36, 72} {
-		for name, plat := range map[string]*platform.Platform{
-			"1seg":         apps.MP3Platform1(s),
-			"2seg":         apps.MP3Platform2(s),
-			"3seg":         apps.MP3Platform3(s),
-			"3seg-p9moved": apps.MP3Platform3MovedP9(s),
-		} {
-			checkAffineAgainstReference(t, fmt.Sprintf("mp3 %s s=%d", name, s), m, plat)
-		}
+// newQuery returns a bounds query over m, failing the test on an
+// invalid model.
+func newQuery(t *testing.T, m *psdf.Model) *BoundsQuery {
+	t.Helper()
+	q, err := NewBoundsQuery(m)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return q
+}
+
+// TestAffineMatchesReferenceCorpus checks the MP3 platforms at four
+// package sizes through one shared query, as parallel subtests: the
+// platforms of a size race to fill its schedule memo and then read it
+// concurrently, which the race suite checks. Every scenario gets a
+// query of its own.
+func TestAffineMatchesReferenceCorpus(t *testing.T) {
+	q := newQuery(t, apps.MP3Model())
+	t.Run("mp3", func(t *testing.T) {
+		for _, s := range []int{4, 18, 36, 72} {
+			for name, plat := range map[string]*platform.Platform{
+				"1seg":         apps.MP3Platform1(s),
+				"2seg":         apps.MP3Platform2(s),
+				"3seg":         apps.MP3Platform3(s),
+				"3seg-p9moved": apps.MP3Platform3MovedP9(s),
+			} {
+				label := fmt.Sprintf("%s s=%d", name, s)
+				t.Run(label, func(t *testing.T) {
+					t.Parallel()
+					checkAffineAgainstReference(t, "mp3 "+label, q, plat)
+				})
+			}
+		}
+	})
 	paths, err := filepath.Glob("../../testdata/scenarios/*.sbd")
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +283,7 @@ func TestAffineMatchesReferenceCorpus(t *testing.T) {
 		if doc.Platform == nil {
 			t.Fatalf("%s: scenario without platform", path)
 		}
-		checkAffineAgainstReference(t, filepath.Base(path), doc.Model, doc.Platform)
+		checkAffineAgainstReference(t, filepath.Base(path), newQuery(t, doc.Model), doc.Platform)
 	}
 }
 
@@ -285,7 +304,7 @@ func TestAffineMatchesReferenceRandom(t *testing.T) {
 			plat.CAHopTicks = rng.Intn(30)
 			label := fmt.Sprintf("seed %d trial %d (s=%d, %d procs, %d segs)",
 				gen.seed, trial, pkg, m.NumProcesses(), plat.NumSegments())
-			checkAffineAgainstReference(t, label, m, plat)
+			checkAffineAgainstReference(t, label, newQuery(t, m), plat)
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package explore
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -56,9 +58,12 @@ type Options struct {
 // deterministic output path (JSON report, tables); they surface
 // through volatile gauges and the CLI's -timings stderr dump.
 type StageNs struct {
-	Bounds  int64 `json:"-"`
-	Emulate int64 `json:"-"`
-	Power   int64 `json:"-"`
+	// Enumerate is the placement solves plus the group platform
+	// builds.
+	Enumerate int64 `json:"-"`
+	Bounds    int64 `json:"-"`
+	Emulate   int64 `json:"-"`
+	Power     int64 `json:"-"`
 }
 
 // Point is one candidate's full record: analytic bounds (always
@@ -153,14 +158,20 @@ func (a *archive) dominatedLB(lbPs int64, lbPJ float64) bool {
 
 // Run explores the space over the model.
 //
-// Pipeline: enumerate → bounds (parallel, pure, priced once per
-// group of candidates that differ only in their tick axes) → waves
-// of prune-then-emulate. Candidates are ordered by ascending latency
-// lower bound (ties: energy bound, then index) so the points most
-// likely to dominate others are emulated first; between waves, every
-// not-yet-emulated candidate whose (latency LB, energy LB) pair is
-// strictly dominated by an emulated point on both objectives is
-// discarded unemulated.
+// Pipeline: enumerate (one parallel task per (segments, mapping)
+// pair: its placement solve and its groups' platforms) → bounds (one
+// parallel task per group of candidates that differ only in their
+// tick axes: the task fills in the members' candidates and prices
+// them) → waves of prune-then-emulate. Candidates are emulated in
+// ascending latency lower bound (ties: energy bound, then index) so
+// the points most likely to dominate others go first; at each wave
+// boundary every not-yet-emulated candidate whose (latency LB, energy
+// LB) pair is strictly dominated by an emulated point on both
+// objectives is discarded unemulated, and the next wave is the
+// WaveSize first survivors in that order, selected with a bounded
+// heap rather than by sorting the whole space (nextWave). No
+// per-candidate work runs on Run's own goroutine outside those
+// passes.
 //
 // Soundness: analyze guarantees LowerPs ≤ actual ExecPs (the bounds
 // chain the conform oracles pin — the documented scheduling anomaly
@@ -176,17 +187,13 @@ func (a *archive) dominatedLB(lbPs int64, lbPJ float64) bool {
 //
 // Determinism: prune decisions happen only at wave boundaries against
 // the archive of completed emulations, wave composition follows the
-// fixed candidate order with a fixed WaveSize, and every emulation is
-// a sealed deterministic simulation merged by candidate index. The
-// worker count and steal seed change only the schedule inside a wave,
-// so Points, Front and all counters are byte-identical across
-// -workers values.
+// fixed candidate order (rank) with a fixed WaveSize, and every
+// emulation is a sealed deterministic simulation merged by candidate
+// index. The worker count and steal seed change only the schedule
+// inside a wave, so Points, Front and all counters are byte-identical
+// across -workers values.
 func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 	sp, err := space.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	cands, err := sp.Enumerate(m)
 	if err != nil {
 		return nil, err
 	}
@@ -194,15 +201,6 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 	if waveSize <= 0 {
 		waveSize = DefaultWaveSize
 	}
-	metrics := obs.NewExploreMetrics(opts.Registry)
-	metrics.Generated.Add(int64(len(cands)))
-
-	q, err := analyze.NewBoundsQuery(m)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Result{Space: sp, Generated: len(cands), Points: make([]Point, len(cands))}
 	// One resolved worker count sizes both the scheduler and the
 	// machine pool, so every worker's machine survives between waves.
 	workers := opts.Workers
@@ -211,40 +209,51 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 	}
 	steal := parallel.StealOptions{Workers: workers, Seed: opts.Seed}
 
-	// Stage 1: analytic bounds, priced once per group of candidates
-	// that differ only in their tick axes. Enumerate lists each
-	// group's members contiguously, sharing one group platform, so
-	// every run of equal group pointers is one task; withDefaults
-	// rejects negative ticks, so one validation, one coefficient pass
-	// and one power profile (neither reads the tick fields) serve the
-	// whole group, and each member then costs one At.
-	// power.Params{} selects power.DefaultParams, here and in the
-	// estimate below: pruning and estimation price with the same
-	// coefficients.
-	var starts []int
-	for i := range cands {
-		if i == 0 || cands[i].group != cands[i-1].group {
-			starts = append(starts, i)
-		}
+	// Stage 0: one placement solve per (segments, mapping) pair and
+	// one platform per group, in parallel.
+	groups, enumerateNs, err := sp.groups(m, steal)
+	if err != nil {
+		return nil, err
 	}
-	starts = append(starts, len(cands))
+	groupSize := sp.groupSize()
+	n := len(groups) * groupSize
+	metrics := obs.NewExploreMetrics(opts.Registry)
+	metrics.Generated.Add(int64(n))
+
+	q, err := analyze.NewBoundsQuery(m)
+	if err != nil {
+		return nil, err
+	}
+
+	res := &Result{Space: sp, Generated: n, Points: make([]Point, n)}
+
+	// Stage 1: analytic bounds, priced once per group of candidates
+	// that differ only in their tick axes. Each group task writes its
+	// members' candidates in place, in enumeration order, then prices
+	// them: withDefaults rejects negative ticks, so one validation,
+	// one coefficient pass and one power profile (neither reads the
+	// tick fields) serve the whole group, and each member then costs
+	// one At. power.Params{} selects power.DefaultParams, here and in
+	// the estimate below: pruning and estimation price with the same
+	// coefficients.
 	var boundsNs atomic.Int64
-	parallel.StealRun(len(starts)-1, steal, func(g int) {
+	parallel.StealRun(len(groups), steal, func(g int) {
 		start := time.Now()
-		plat := cands[starts[g]].group
+		gr := &groups[g]
 		var pf *power.Profile
-		ab, err := q.Affine(plat)
+		ab, err := q.Affine(gr.plat)
 		if err != nil {
 			err = fmt.Errorf("bounds: %w", err)
-		} else if pf, err = power.NewProfile(m, plat, power.Params{}); err != nil {
+		} else if pf, err = power.NewProfile(m, gr.plat, power.Params{}); err != nil {
 			err = fmt.Errorf("power profile: %w", err)
 		}
 		// One slot per segment for the SA tick bounds, reused by
 		// every member of the group.
-		saTicks := make([]int64, len(plat.Segments))
-		for i := starts[g]; i < starts[g+1]; i++ {
+		saTicks := make([]int64, len(gr.plat.Segments))
+		for k := 0; k < groupSize; k++ {
+			i := g*groupSize + k
 			pt := &res.Points[i]
-			pt.Candidate = cands[i]
+			pt.Candidate = sp.member(gr, i, k)
 			if err != nil {
 				pt.Err = err
 				continue
@@ -256,31 +265,19 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 		boundsNs.Add(time.Since(start).Nanoseconds())
 	})
 
-	// Candidate order: most-likely-dominators first.
-	order := make([]int, 0, len(cands))
+	remaining := make([]int, 0, n)
 	for i := range res.Points {
-		if res.Points[i].Err != nil {
-			continue
+		if res.Points[i].Err == nil {
+			remaining = append(remaining, i)
 		}
-		order = append(order, i)
 	}
-	sort.Slice(order, func(x, y int) bool {
-		a, b := &res.Points[order[x]], &res.Points[order[y]]
-		if a.LowerPs != b.LowerPs {
-			return a.LowerPs < b.LowerPs
-		}
-		if a.EnergyLBPJ != b.EnergyLBPJ {
-			return a.EnergyLBPJ < b.EnergyLBPJ
-		}
-		return a.Index < b.Index
-	})
 
 	// Stage 2: waves of prune-then-emulate on pooled machines.
 	machines := pool.New(pool.Options{PerKey: workers})
 	var emulateNs, powerNs atomic.Int64
 	var emulatedIdx []int
 	var arch archive
-	remaining := order
+	waveBuf := make([]int, 0, waveSize)
 	var done, failed atomic.Int64
 	for len(remaining) > 0 {
 		res.Waves++
@@ -299,11 +296,8 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 				break
 			}
 		}
-		wave := remaining
-		if len(wave) > waveSize {
-			wave = wave[:waveSize]
-		}
-		remaining = remaining[len(wave):]
+		var wave []int
+		wave, remaining = nextWave(res.Points, remaining, waveSize, waveBuf)
 
 		parallel.StealRun(len(wave), steal, func(k int) {
 			i := wave[k]
@@ -337,9 +331,8 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 			pt.AvgPowerMW = est.AvgPowerM
 			opts.Heartbeat.Tick(int(done.Add(1)), int(failed.Load()))
 		})
-		// Merge in candidate order (wave is index-sorted within its
-		// LB ordering, and each slot was written once), then refresh
-		// the prune oracle.
+		// Merge in wave order (each slot was written once), then
+		// refresh the prune oracle.
 		for _, i := range wave {
 			if res.Points[i].Emulated {
 				emulatedIdx = append(emulatedIdx, i)
@@ -365,7 +358,7 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 	if res.Generated > 0 {
 		res.PruningRatio = float64(res.Pruned) / float64(res.Generated)
 	}
-	res.Timing = StageNs{Bounds: boundsNs.Load(), Emulate: emulateNs.Load(), Power: powerNs.Load()}
+	res.Timing = StageNs{Enumerate: enumerateNs, Bounds: boundsNs.Load(), Emulate: emulateNs.Load(), Power: powerNs.Load()}
 
 	metrics.Pruned.Add(int64(res.Pruned))
 	metrics.Emulated.Add(int64(res.Emulated))
@@ -373,11 +366,79 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 	metrics.Waves.Add(int64(res.Waves))
 	metrics.FrontSize.Set(float64(len(res.Front)))
 	metrics.PruningRatio.Set(res.PruningRatio)
+	metrics.StageEnumerate.Set(float64(res.Timing.Enumerate))
 	metrics.StageBounds.Set(float64(res.Timing.Bounds))
 	metrics.StageEmulate.Set(float64(res.Timing.Emulate))
 	metrics.StagePower.Set(float64(res.Timing.Power))
 	opts.Heartbeat.Final(int(done.Load()), int(failed.Load()))
 	return res, nil
+}
+
+// rank orders candidates for emulation, most likely dominators
+// first: ascending latency lower bound, then energy lower bound, then
+// index. It is a total order on the points of one run.
+func rank(points []Point, a, b int) int {
+	pa, pb := &points[a], &points[b]
+	if c := cmp.Compare(pa.LowerPs, pb.LowerPs); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(pa.EnergyLBPJ, pb.EnergyLBPJ); c != 0 {
+		return c
+	}
+	return cmp.Compare(pa.Index, pb.Index)
+}
+
+// nextWave splits remaining into the next wave, its size entries that
+// rank first, sorted by rank, and the rest, in their previous order. A bounded max-heap of size entries keeps the selection at
+// O(len(remaining) · log size); the wave is built in buf when
+// remaining holds more than size entries, and is remaining itself
+// otherwise. Taking the first size survivors of each prune pass this
+// way emits exactly the waves a full sort of the candidates would: the
+// prune pass drops the same set whatever the order of remaining.
+func nextWave(points []Point, remaining []int, size int, buf []int) (wave, rest []int) {
+	byRank := func(a, b int) int { return rank(points, a, b) }
+	if len(remaining) <= size {
+		slices.SortFunc(remaining, byRank)
+		return remaining, nil
+	}
+	// Max-heap under rank: h[0] is the last-ranked entry kept so far.
+	h := append(buf[:0], remaining[:size]...)
+	down := func(j int) {
+		for {
+			c := 2*j + 1
+			if c >= len(h) {
+				return
+			}
+			if c+1 < len(h) && byRank(h[c], h[c+1]) < 0 {
+				c++
+			}
+			if byRank(h[j], h[c]) >= 0 {
+				return
+			}
+			h[j], h[c] = h[c], h[j]
+			j = c
+		}
+	}
+	for j := size/2 - 1; j >= 0; j-- {
+		down(j)
+	}
+	for _, i := range remaining[size:] {
+		if byRank(i, h[0]) < 0 {
+			h[0] = i
+			down(0)
+		}
+	}
+	// rank is total, so the wave is exactly the entries ranked at or
+	// before its last one.
+	last := h[0]
+	rest = remaining[:0]
+	for _, i := range remaining {
+		if byRank(i, last) > 0 {
+			rest = append(rest, i)
+		}
+	}
+	slices.SortFunc(h, byRank)
+	return h, rest
 }
 
 // paretoFront returns the indices of the non-dominated emulated

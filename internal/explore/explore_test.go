@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -203,7 +205,7 @@ func refPlatforms(m *psdf.Model, space *Space) ([]*platform.Platform, error) {
 // form evaluated at its own ticks, the arbiter-tick bounds priced by
 // its own power profile), each emulated point carries
 // a platform deeply equal to the reference, and every other point
-// carries none.
+// carries none. Every point's candidate must also equal Enumerate's.
 func TestGroupedBoundsMatchPerCandidate(t *testing.T) {
 	check := func(label string, m *psdf.Model, space *Space, opts Options) {
 		t.Helper()
@@ -218,6 +220,13 @@ func TestGroupedBoundsMatchPerCandidate(t *testing.T) {
 		if len(ref) != len(res.Points) {
 			t.Fatalf("%s: %d reference platforms for %d points", label, len(ref), len(res.Points))
 		}
+		cands, err := space.Enumerate(m)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if len(cands) != len(res.Points) {
+			t.Fatalf("%s: %d enumerated candidates for %d points", label, len(cands), len(res.Points))
+		}
 		q, err := analyze.NewBoundsQuery(m)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
@@ -226,6 +235,17 @@ func TestGroupedBoundsMatchPerCandidate(t *testing.T) {
 			p := &res.Points[i]
 			if p.Label != ref[i].Name {
 				t.Fatalf("%s: point %d is %s, reference %s", label, i, p.Label, ref[i].Name)
+			}
+			// Run fills the candidates in its bounds tasks; they must
+			// be Enumerate's, field for field, with a deeply equal
+			// group platform.
+			got, want := p.Candidate, cands[i]
+			if !reflect.DeepEqual(got.group, want.group) {
+				t.Fatalf("%s: %s: group platform %+v, Enumerate's %+v", label, p.Label, got.group, want.group)
+			}
+			got.Platform, got.group, want.group = nil, nil, nil
+			if got != want {
+				t.Fatalf("%s: point %d carries %+v, Enumerate %+v", label, i, got, want)
 			}
 			ab, err := q.Affine(ref[i])
 			if err != nil {
@@ -253,11 +273,82 @@ func TestGroupedBoundsMatchPerCandidate(t *testing.T) {
 		}
 	}
 	check("reference", apps.MP3Model(), ReferenceMP3Space(), Options{})
-	check("reference exhaustive", apps.MP3Model(), ReferenceMP3Space(), Options{NoPrune: true})
+	// The exhaustive arm emulates all 10240 candidates, ~24 s of this
+	// test under the race detector. Its bounds are the pruned arm's,
+	// checked above, and the emulations race-free pooled runs that
+	// other suites cover, so the race build skips it.
+	if !raceEnabled {
+		check("reference exhaustive", apps.MP3Model(), ReferenceMP3Space(), Options{NoPrune: true})
+	}
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m := apps.RandomModel(rng, 3, 3, 4)
 		check(fmt.Sprintf("seed %d", seed), m, randomSpace(rng, len(m.Processes())), Options{})
+	}
+}
+
+// TestNextWaveMatchesSort pins per-wave selection to the full sort it
+// replaced. Keys come from small ranges, so points often tie on both
+// bounds, and between waves a random fifth of the rest is dropped, as
+// a prune pass drops points: every wave must be the next wave-size
+// survivors of the candidates sorted once by (LowerPs, EnergyLBPJ,
+// Index).
+func TestNextWaveMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		n, size := 1+rng.Intn(300), 1+rng.Intn(40)
+		points := make([]Point, n)
+		for i := range points {
+			points[i].Index = i
+			points[i].LowerPs = int64(rng.Intn(5))
+			points[i].EnergyLBPJ = float64(rng.Intn(4)) / 2
+		}
+		sorted := rng.Perm(n)
+		sort.Slice(sorted, func(x, y int) bool {
+			a, b := &points[sorted[x]], &points[sorted[y]]
+			if a.LowerPs != b.LowerPs {
+				return a.LowerPs < b.LowerPs
+			}
+			if a.EnergyLBPJ != b.EnergyLBPJ {
+				return a.EnergyLBPJ < b.EnergyLBPJ
+			}
+			return a.Index < b.Index
+		})
+		gone := make([]bool, n) // dropped or already in a wave
+		remaining := rng.Perm(n)
+		buf := make([]int, 0, size)
+		for waves := 0; len(remaining) > 0; waves++ {
+			if waves > 0 {
+				keep := remaining[:0]
+				for _, i := range remaining {
+					if rng.Intn(5) == 0 {
+						gone[i] = true
+						continue
+					}
+					keep = append(keep, i)
+				}
+				remaining = keep
+			}
+			var want []int
+			for _, i := range sorted {
+				if !gone[i] && len(want) < size {
+					want = append(want, i)
+				}
+			}
+			var wave []int
+			wave, remaining = nextWave(points, remaining, size, buf)
+			if !slices.Equal(wave, want) {
+				t.Fatalf("trial %d wave %d: got %v, want %v", trial, waves, wave, want)
+			}
+			for _, i := range wave {
+				gone[i] = true
+			}
+		}
+		for i, g := range gone {
+			if !g {
+				t.Fatalf("trial %d: point %d never selected or dropped", trial, i)
+			}
+		}
 	}
 }
 
@@ -474,8 +565,11 @@ func TestExploreMetrics(t *testing.T) {
 	if res.Generated != res.Pruned+res.Emulated+res.Errors {
 		t.Errorf("counters don't add up: %+v", res)
 	}
-	if res.Timing.Bounds <= 0 || res.Timing.Emulate <= 0 {
+	if res.Timing.Enumerate <= 0 || res.Timing.Bounds <= 0 || res.Timing.Emulate <= 0 {
 		t.Errorf("stage timings not recorded: %+v", res.Timing)
+	}
+	if got := reg.Snapshot(true)[obs.MetricExploreStageNs+`{stage="enumerate"}`]; got != float64(res.Timing.Enumerate) {
+		t.Errorf("enumerate stage gauge = %v, want %d", got, res.Timing.Enumerate)
 	}
 }
 

@@ -72,6 +72,6 @@ func (r *Result) CSV() string {
 // is the nondeterministic half of a run's story and belongs on
 // stderr, never in the deterministic report.
 func (r *Result) TimingSummary() string {
-	return fmt.Sprintf("stage busy time (summed over workers): bounds %.1fms, emulate %.1fms, power %.1fms\n",
-		float64(r.Timing.Bounds)/1e6, float64(r.Timing.Emulate)/1e6, float64(r.Timing.Power)/1e6)
+	return fmt.Sprintf("stage busy time (summed over workers): enumerate %.1fms, bounds %.1fms, emulate %.1fms, power %.1fms\n",
+		float64(r.Timing.Enumerate)/1e6, float64(r.Timing.Bounds)/1e6, float64(r.Timing.Emulate)/1e6, float64(r.Timing.Power)/1e6)
 }

@@ -16,9 +16,13 @@ package explore
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"sync/atomic"
+	"time"
 
 	"segbus/internal/core"
+	"segbus/internal/parallel"
 	"segbus/internal/place"
 	"segbus/internal/platform"
 	"segbus/internal/psdf"
@@ -167,14 +171,106 @@ func (s *Space) Size() int {
 	return len(sp.Segments) * len(sp.Mappings) * len(sp.PackageSizes) * len(sp.HeaderTicks) * len(sp.CAHopTicks)
 }
 
+// candidateGroup is one (segments, mapping, package size) block of a
+// space: the candidates that differ only in their tick axes, listed
+// contiguously in enumeration order. They share plat, whose Name is
+// their label prefix and whose tick fields are zero.
+type candidateGroup struct {
+	segments    int
+	mapping     string
+	packageSize int
+	plat        *platform.Platform
+}
+
+// groups solves the placement of every (segments, mapping) pair of
+// sp, which must carry its defaults, and builds the platform of each
+// of the pair's package sizes: one parallel.StealRun task per pair.
+// It returns the groups in canonical order (segments ≫ mapping ≫
+// package size) with the tasks' summed busy time in nanoseconds, or
+// the error the first failing pair in that order meets first.
+func (sp *Space) groups(m *psdf.Model, steal parallel.StealOptions) ([]candidateGroup, int64, error) {
+	cm := m.CommunicationMatrix()
+	caClock := platform.Hz(sp.CAClockMHz) * platform.MHz
+	sizes := len(sp.PackageSizes)
+	out := make([]candidateGroup, len(sp.Segments)*len(sp.Mappings)*sizes)
+	errs := make([]error, len(sp.Segments)*len(sp.Mappings))
+	var busyNs atomic.Int64
+	parallel.StealRun(len(errs), steal, func(pair int) {
+		start := time.Now()
+		defer func() { busyNs.Add(time.Since(start).Nanoseconds()) }()
+		segs, mapping := sp.Segments[pair/len(sp.Mappings)], sp.Mappings[pair%len(sp.Mappings)]
+		var alloc place.Allocation
+		var err error
+		switch mapping {
+		case MappingSolve:
+			alloc, err = place.Solve(cm, segs, place.Options{})
+		case MappingRoundRobin:
+			alloc, err = place.RoundRobin(cm, segs)
+		}
+		if err != nil {
+			errs[pair] = fmt.Errorf("explore: %s mapping onto %d segments: %w", mapping, segs, err)
+			return
+		}
+		clocks := make([]platform.Hz, segs)
+		for i := range clocks {
+			clocks[i] = platform.Hz(sp.SegmentClocksMHz[i%len(sp.SegmentClocksMHz)]) * platform.MHz
+		}
+		prefix := sp.Name + "/seg=" + strconv.Itoa(segs) + "/" + mapping + "/s="
+		for z, size := range sp.PackageSizes {
+			name := prefix + strconv.Itoa(size)
+			plat, err := core.PlatformFromAllocation(name, alloc, clocks, caClock, size, 0, 0)
+			if err != nil {
+				errs[pair] = fmt.Errorf("explore: %s: %w", name, err)
+				return
+			}
+			out[pair*sizes+z] = candidateGroup{segments: segs, mapping: mapping, packageSize: size, plat: plat}
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, 0, err
+		}
+	}
+	return out, busyNs.Load(), nil
+}
+
+// groupSize is the number of members of each group: one per tick
+// pair.
+func (sp *Space) groupSize() int {
+	return len(sp.HeaderTicks) * len(sp.CAHopTicks)
+}
+
+// member returns member k of group g, whose candidate index is index:
+// the members run through the tick pairs header ticks ≫ CA hop ticks.
+func (sp *Space) member(g *candidateGroup, index, k int) Candidate {
+	header, hop := sp.HeaderTicks[k/len(sp.CAHopTicks)], sp.CAHopTicks[k%len(sp.CAHopTicks)]
+	// The label is built in a stack buffer, so it costs the one
+	// allocation of its string.
+	var buf [64]byte
+	label := append(append(buf[:0], g.plat.Name...), "/h="...)
+	label = append(strconv.AppendInt(label, int64(header), 10), "/ca="...)
+	label = strconv.AppendInt(label, int64(hop), 10)
+	return Candidate{
+		Index:       index,
+		Label:       string(label),
+		Segments:    g.segments,
+		Mapping:     g.mapping,
+		PackageSize: g.packageSize,
+		HeaderTicks: header,
+		CAHopTicks:  hop,
+		group:       g.plat,
+	}
+}
+
 // Enumerate expands the space over the model into the full candidate
 // list, in the canonical order the explorer's determinism guarantees
 // key on: segments (as listed) ≫ mapping ≫ package size ≫ header
 // ticks ≫ CA hop ticks. Each (segments, mapping) pair solves its
-// placement exactly once, and each (segments, mapping, package size)
-// group builds one platform that all its tick pairs share; no
-// candidate gets a platform of its own here (Candidate.Platform is
-// nil).
+// placement exactly once, the pairs in parallel, and each (segments,
+// mapping, package size) group builds one platform that all its tick
+// pairs share; no candidate gets a platform of its own here
+// (Candidate.Platform is nil). Run shares the groups step and fills
+// the members inside its bounds tasks instead.
 //
 // The whole space must be feasible: a segment count the model cannot
 // populate fails enumeration rather than silently shrinking the
@@ -184,48 +280,15 @@ func (s *Space) Enumerate(m *psdf.Model) ([]Candidate, error) {
 	if err != nil {
 		return nil, err
 	}
-	cm := m.CommunicationMatrix()
-	caClock := platform.Hz(sp.CAClockMHz) * platform.MHz
-
-	var out []Candidate
-	for _, segs := range sp.Segments {
-		clocks := make([]platform.Hz, segs)
-		for i := range clocks {
-			clocks[i] = platform.Hz(sp.SegmentClocksMHz[i%len(sp.SegmentClocksMHz)]) * platform.MHz
-		}
-		for _, mapping := range sp.Mappings {
-			var alloc place.Allocation
-			var err error
-			switch mapping {
-			case MappingSolve:
-				alloc, err = place.Solve(cm, segs, place.Options{})
-			case MappingRoundRobin:
-				alloc, err = place.RoundRobin(cm, segs)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("explore: %s mapping onto %d segments: %w", mapping, segs, err)
-			}
-			for _, size := range sp.PackageSizes {
-				name := fmt.Sprintf("%s/seg=%d/%s/s=%d", sp.Name, segs, mapping, size)
-				group, err := core.PlatformFromAllocation(name, alloc, clocks, caClock, size, 0, 0)
-				if err != nil {
-					return nil, fmt.Errorf("explore: %s: %w", name, err)
-				}
-				for _, header := range sp.HeaderTicks {
-					for _, hop := range sp.CAHopTicks {
-						out = append(out, Candidate{
-							Index:       len(out),
-							Label:       fmt.Sprintf("%s/h=%d/ca=%d", name, header, hop),
-							Segments:    segs,
-							Mapping:     mapping,
-							PackageSize: size,
-							HeaderTicks: header,
-							CAHopTicks:  hop,
-							group:       group,
-						})
-					}
-				}
-			}
+	groups, _, err := sp.groups(m, parallel.StealOptions{})
+	if err != nil {
+		return nil, err
+	}
+	size := sp.groupSize()
+	out := make([]Candidate, len(groups)*size)
+	for g := range groups {
+		for k := 0; k < size; k++ {
+			out[g*size+k] = sp.member(&groups[g], g*size+k, k)
 		}
 	}
 	return out, nil

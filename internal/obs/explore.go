@@ -34,8 +34,8 @@ const (
 	MetricExplorePruningRatio = "segbus_explore_pruning_ratio"
 
 	// MetricExploreStageNs totals stage busy time, summed over
-	// workers, by stage label (bounds, emulate, power). Volatile:
-	// excluded from the deterministic export.
+	// workers, by stage label (enumerate, bounds, emulate, power).
+	// Volatile: excluded from the deterministic export.
 	MetricExploreStageNs = "segbus_explore_stage_ns_total"
 )
 
@@ -50,25 +50,27 @@ type ExploreMetrics struct {
 	FrontSize    *Gauge
 	PruningRatio *Gauge
 
-	StageBounds  *Gauge
-	StageEmulate *Gauge
-	StagePower   *Gauge
+	StageEnumerate *Gauge
+	StageBounds    *Gauge
+	StageEmulate   *Gauge
+	StagePower     *Gauge
 }
 
 // NewExploreMetrics resolves the static handles of the explorer
 // catalogue and registers the help strings. reg may be nil.
 func NewExploreMetrics(reg *Registry) *ExploreMetrics {
 	m := &ExploreMetrics{
-		Generated:    reg.Counter(MetricExploreGenerated),
-		Pruned:       reg.Counter(MetricExplorePruned),
-		Emulated:     reg.Counter(MetricExploreEmulated),
-		Errors:       reg.Counter(MetricExploreErrors),
-		Waves:        reg.Counter(MetricExploreWaves),
-		FrontSize:    reg.Gauge(MetricExploreFrontSize),
-		PruningRatio: reg.Gauge(MetricExplorePruningRatio),
-		StageBounds:  reg.VolatileGauge(MetricExploreStageNs, "stage", "bounds"),
-		StageEmulate: reg.VolatileGauge(MetricExploreStageNs, "stage", "emulate"),
-		StagePower:   reg.VolatileGauge(MetricExploreStageNs, "stage", "power"),
+		Generated:      reg.Counter(MetricExploreGenerated),
+		Pruned:         reg.Counter(MetricExplorePruned),
+		Emulated:       reg.Counter(MetricExploreEmulated),
+		Errors:         reg.Counter(MetricExploreErrors),
+		Waves:          reg.Counter(MetricExploreWaves),
+		FrontSize:      reg.Gauge(MetricExploreFrontSize),
+		PruningRatio:   reg.Gauge(MetricExplorePruningRatio),
+		StageEnumerate: reg.VolatileGauge(MetricExploreStageNs, "stage", "enumerate"),
+		StageBounds:    reg.VolatileGauge(MetricExploreStageNs, "stage", "bounds"),
+		StageEmulate:   reg.VolatileGauge(MetricExploreStageNs, "stage", "emulate"),
+		StagePower:     reg.VolatileGauge(MetricExploreStageNs, "stage", "power"),
 	}
 	reg.Describe(MetricExploreGenerated, "candidates enumerated from the space spec")
 	reg.Describe(MetricExplorePruned, "candidates discarded on analytic bounds without emulation")

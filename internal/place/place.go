@@ -486,27 +486,30 @@ func greedy(cm *psdf.CommMatrix, procs []psdf.ProcessID, segments int, opts Opti
 // localSearch improves the allocation to a fixed point with
 // single-process relocations and pairwise swaps. Move evaluation is
 // incremental (see loadTracker); each candidate move is applied,
-// scored, and rolled back unless it improves.
+// scored, and rolled back unless it improves. The search reads and
+// moves the tracker's positions and writes them back into a once, at
+// the fixed point.
 func localSearch(cm *psdf.CommMatrix, a *Allocation, opts Options) {
+	// The unpinned processes, ascending: the only ones that move.
 	procs := make([]psdf.ProcessID, 0, len(a.Of))
 	for p := range a.Of {
-		procs = append(procs, p)
+		if _, ok := opts.Pinned[p]; !ok {
+			procs = append(procs, p)
+		}
 	}
 	sort.Slice(procs, func(i, j int) bool { return procs[i] < procs[j] })
 	counts := make([]int, a.Segments)
 	for _, s := range a.Of {
 		counts[s]++
 	}
-	t := newLoadTracker(cm, a)
+	t := newLoadTracker(cm, *a)
+	of := t.of
 	cur := t.score()
 	for improved := true; improved; {
 		improved = false
 		// Relocations.
 		for _, p := range procs {
-			if _, ok := opts.Pinned[p]; ok {
-				continue
-			}
-			from := a.Of[p]
+			from := of[p]
 			if counts[from] == 1 {
 				continue // would empty the segment
 			}
@@ -528,14 +531,8 @@ func localSearch(cm *psdf.CommMatrix, a *Allocation, opts Options) {
 		}
 		// Swaps.
 		for i, p := range procs {
-			if _, ok := opts.Pinned[p]; ok {
-				continue
-			}
 			for _, q := range procs[i+1:] {
-				if _, ok := opts.Pinned[q]; ok {
-					continue
-				}
-				if a.Of[p] == a.Of[q] {
+				if of[p] == of[q] {
 					continue
 				}
 				t.swap(p, q)
@@ -548,6 +545,7 @@ func localSearch(cm *psdf.CommMatrix, a *Allocation, opts Options) {
 			}
 		}
 	}
+	t.store(a)
 }
 
 // RoundRobin returns the naive baseline allocation: processes dealt to

@@ -9,13 +9,21 @@ import (
 // swaps in O(degree × segments) instead of recomputing the full
 // O(n² × segments) objective per move. Score(cm, a) remains the pure
 // specification; the tracker is property-tested against it.
+//
+// The tracker works on its own dense copy of the allocation (of,
+// indexed by ProcessID), so a move reads and writes slice slots
+// rather than map entries; store writes the positions back into an
+// Allocation.
 type loadTracker struct {
-	cm    *psdf.CommMatrix
-	a     *Allocation
+	cm *psdf.CommMatrix
+	// of[p] is process p's segment, or -1 for a process the
+	// allocation does not place.
+	of    []int
 	loads []int64
 	// neighbours[p] lists (q, out, in) with out = items p sends to q
-	// and in = items p receives from q, for q != p with any traffic.
-	neighbours map[psdf.ProcessID][]neighbour
+	// and in = items p receives from q, for placed q != p with any
+	// traffic.
+	neighbours [][]neighbour
 }
 
 type neighbour struct {
@@ -23,28 +31,32 @@ type neighbour struct {
 	out, in int
 }
 
-// newLoadTracker builds the tracker for the current allocation.
-func newLoadTracker(cm *psdf.CommMatrix, a *Allocation) *loadTracker {
+// newLoadTracker builds the tracker for the allocation; later moves
+// leave a untouched until store.
+func newLoadTracker(cm *psdf.CommMatrix, a Allocation) *loadTracker {
+	n := cm.Size()
 	t := &loadTracker{
 		cm:         cm,
-		a:          a,
-		loads:      BusLoads(cm, *a),
-		neighbours: make(map[psdf.ProcessID][]neighbour),
+		of:         make([]int, n),
+		loads:      BusLoads(cm, a),
+		neighbours: make([][]neighbour, n),
 	}
-	n := cm.Size()
+	for i := range t.of {
+		t.of[i] = -1
+	}
+	for p, s := range a.Of {
+		t.of[p] = s
+	}
 	for i := 0; i < n; i++ {
-		p := psdf.ProcessID(i)
-		if _, placed := a.Of[p]; !placed {
+		if t.of[i] < 0 {
 			continue
 		}
+		p := psdf.ProcessID(i)
 		for j := 0; j < n; j++ {
-			if i == j {
+			if i == j || t.of[j] < 0 {
 				continue
 			}
 			q := psdf.ProcessID(j)
-			if _, placed := a.Of[q]; !placed {
-				continue
-			}
 			out := cm.At(p, q)
 			in := cm.At(q, p)
 			if out != 0 || in != 0 {
@@ -53,6 +65,15 @@ func newLoadTracker(cm *psdf.CommMatrix, a *Allocation) *loadTracker {
 		}
 	}
 	return t
+}
+
+// store writes the tracked position of every placed process into a.
+func (t *loadTracker) store(a *Allocation) {
+	for p, s := range t.of {
+		if s >= 0 {
+			a.Of[psdf.ProcessID(p)] = s
+		}
+	}
 }
 
 // score returns the current objective value.
@@ -80,24 +101,24 @@ func (t *loadTracker) applyRoute(a, b int, items int, sign int64) {
 }
 
 // move relocates process p to segment to, updating the loads and the
-// allocation. Self-loops in the matrix are ignored (the model forbids
-// them anyway).
+// tracked position. Self-loops in the matrix are ignored (the model
+// forbids them anyway).
 func (t *loadTracker) move(p psdf.ProcessID, to int) {
-	from := t.a.Of[p]
+	from := t.of[p]
 	if from == to {
 		return
 	}
 	for _, nb := range t.neighbours[p] {
-		sq := t.a.Of[nb.q]
+		sq := t.of[nb.q]
 		t.applyRoute(from, sq, nb.out+nb.in, -1)
 		t.applyRoute(to, sq, nb.out+nb.in, +1)
 	}
-	t.a.Of[p] = to
+	t.of[p] = to
 }
 
 // swap exchanges the segments of p and q.
 func (t *loadTracker) swap(p, q psdf.ProcessID) {
-	sp, sq := t.a.Of[p], t.a.Of[q]
+	sp, sq := t.of[p], t.of[q]
 	if sp == sq {
 		return
 	}
