@@ -1,6 +1,7 @@
 package analyze
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"sync"
@@ -152,6 +153,12 @@ type BoundsQuery struct {
 
 	mu        sync.Mutex
 	schedules map[int]*sched.Schedule // by package size
+	// mapped holds the hosted-process sequences (every FU's process,
+	// segment by segment, varint-encoded) whose mapping of m
+	// ValidateMapping has passed: the platforms of one allocation
+	// share that verdict, so the explorer's groups of one (segments,
+	// mapping) pair validate it once.
+	mapped map[string]bool
 }
 
 // NewBoundsQuery validates the model once and returns a query handle.
@@ -159,7 +166,33 @@ func NewBoundsQuery(m *psdf.Model) (*BoundsQuery, error) {
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("analyze: bounds need a valid model: %w", err)
 	}
-	return &BoundsQuery{m: m, schedules: make(map[int]*sched.Schedule)}, nil
+	return &BoundsQuery{m: m, schedules: make(map[int]*sched.Schedule), mapped: make(map[string]bool)}, nil
+}
+
+// checkMapping runs plat.ValidateMapping against the query's model
+// unless a platform hosting the same processes in the same order has
+// passed it before. Failures are not memoised.
+func (q *BoundsQuery) checkMapping(plat *platform.Platform) error {
+	var buf [64]byte
+	key := buf[:0]
+	for _, seg := range plat.Segments {
+		for _, fu := range seg.FUs {
+			key = binary.AppendVarint(key, int64(fu.Process))
+		}
+	}
+	q.mu.Lock()
+	ok := q.mapped[string(key)]
+	q.mu.Unlock()
+	if ok {
+		return nil
+	}
+	if err := plat.ValidateMapping(q.m); err != nil {
+		return err
+	}
+	q.mu.Lock()
+	q.mapped[string(key)] = true
+	q.mu.Unlock()
+	return nil
 }
 
 // schedule returns the model's emission schedule at the package size,
@@ -268,7 +301,7 @@ func (q *BoundsQuery) Affine(plat *platform.Platform) (*AffineBounds, error) {
 	if err := plat.Validate(); err != nil {
 		return nil, fmt.Errorf("analyze: bounds need a valid platform: %w", err)
 	}
-	if err := plat.ValidateMapping(m); err != nil {
+	if err := q.checkMapping(plat); err != nil {
 		return nil, fmt.Errorf("analyze: bounds need a complete mapping: %w", err)
 	}
 

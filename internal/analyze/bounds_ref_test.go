@@ -334,3 +334,27 @@ func TestAffineRejectsLikeReference(t *testing.T) {
 		}
 	}
 }
+
+// TestAffineMappingMemo: one query memoises passing mapping checks,
+// and an incomplete mapping is still rejected, with the reference's
+// error, between and after accepted ones.
+func TestAffineMappingMemo(t *testing.T) {
+	m := apps.MP3Model()
+	q, err := NewBoundsQuery(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial := platform.New("partial", 111*platform.MHz, 36)
+	partial.AddSegment(100*platform.MHz, 0, 1)
+	_, want := referenceBounds(m, partial)
+	for i := 0; i < 2; i++ {
+		for _, size := range []int{18, 36} {
+			if _, err := q.Affine(apps.MP3Platform2(size)); err != nil {
+				t.Fatalf("round %d, s=%d: %v", i, size, err)
+			}
+		}
+		if _, err := q.Affine(partial); err == nil || err.Error() != want.Error() {
+			t.Errorf("round %d: incomplete mapping: Affine error %v, reference %v", i, err, want)
+		}
+	}
+}

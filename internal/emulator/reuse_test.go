@@ -231,3 +231,51 @@ func TestMachineWarmRunAllocs(t *testing.T) {
 		t.Errorf("warm run allocates %v, fresh %v — want warm < fresh/2", warm, fresh)
 	}
 }
+
+// TestMachineRevalidatesMutatedModel: a model's passing Validate is
+// memoised, so a model mutated into an invalid one after a successful
+// run must still be rejected by the next run, on the same machine.
+func TestMachineRevalidatesMutatedModel(t *testing.T) {
+	m := apps.MP3Model()
+	plat := apps.MP3Platform3(36)
+	mc := emulator.NewMachine()
+	if _, err := mc.Run(m, plat, emulator.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	m.AddFlow(psdf.Flow{Source: 0, Target: 0, Items: 36, Order: 1, Ticks: 5}) // self-loop
+	if _, err := mc.Run(m, plat, emulator.Config{}); err == nil {
+		t.Fatal("a self-loop added after a successful run was accepted")
+	}
+}
+
+// TestConcurrentRunsShareModel: concurrent runs of one model (each on
+// its own machine, as pooled emulations are) all validate it and all
+// produce the same report.
+func TestConcurrentRunsShareModel(t *testing.T) {
+	m := apps.MP3Model()
+	plat := apps.MP3Platform3(36)
+	want, _ := reportBytes(t, func() (*emulator.Report, error) {
+		return emulator.NewMachine().Run(m.Clone(), plat, emulator.Config{})
+	})
+	const runs = 8
+	got := make([][]byte, runs)
+	done := make(chan int)
+	for g := 0; g < runs; g++ {
+		go func(g int) {
+			defer func() { done <- g }()
+			r, err := emulator.NewMachine().Run(m, plat, emulator.Config{})
+			if err != nil {
+				return
+			}
+			got[g], _ = r.JSON()
+		}(g)
+	}
+	for g := 0; g < runs; g++ {
+		<-done
+	}
+	for g, b := range got {
+		if !bytes.Equal(b, want) {
+			t.Errorf("run %d: report differs from a fresh model's", g)
+		}
+	}
+}

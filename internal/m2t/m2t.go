@@ -15,6 +15,7 @@ package m2t
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"segbus/internal/platform"
@@ -32,28 +33,69 @@ var xmlEscape = strings.NewReplacer(
 	"'", "&apos;",
 ).Replace
 
-// builder assembles an indented XML document.
+// builder assembles an indented XML document line by line: begin
+// indents, str and num append pieces (num formats an integer in
+// decimal, as %d does), and end closes the line — endOpen also indents
+// the lines that follow.
 type builder struct {
-	b      strings.Builder
+	b      []byte
 	indent int
 }
 
-func (w *builder) line(format string, args ...interface{}) {
+func (w *builder) begin() *builder {
 	for i := 0; i < w.indent; i++ {
-		w.b.WriteString("  ")
+		w.b = append(w.b, "  "...)
 	}
-	fmt.Fprintf(&w.b, format, args...)
-	w.b.WriteByte('\n')
+	return w
 }
 
-func (w *builder) open(format string, args ...interface{}) {
-	w.line(format, args...)
+func (w *builder) str(s string) *builder {
+	w.b = append(w.b, s...)
+	return w
+}
+
+func (w *builder) num(n int64) *builder {
+	w.b = strconv.AppendInt(w.b, n, 10)
+	return w
+}
+
+// proc appends a process name, "P3", or its element name "p3" when
+// lower is set.
+func (w *builder) proc(p psdf.ProcessID, lower bool) *builder {
+	start := len(w.b)
+	w.b = p.AppendName(w.b)
+	if lower {
+		w.b[start] = 'p'
+	}
+	return w
+}
+
+// bu appends a border unit's name, "BU12", or its element name "bu12"
+// when lower is set.
+func (w *builder) bu(b platform.BU, lower bool) *builder {
+	start := len(w.b)
+	w.b = b.AppendName(w.b)
+	if lower {
+		w.b[start], w.b[start+1] = 'b', 'u'
+	}
+	return w
+}
+
+func (w *builder) end() { w.b = append(w.b, '\n') }
+
+func (w *builder) endOpen() {
+	w.end()
 	w.indent++
 }
 
+// line writes a literal line; open writes one and indents.
+func (w *builder) line(s string) { w.begin().str(s).end() }
+
+func (w *builder) open(s string) { w.begin().str(s).endOpen() }
+
 func (w *builder) close(tag string) {
 	w.indent--
-	w.line("</%s>", tag)
+	w.begin().str("</").str(tag).str(">").end()
 }
 
 // typeName derives the complexType name of the whole model from its
@@ -95,31 +137,37 @@ func GeneratePSDF(m *psdf.Model) ([]byte, error) {
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("m2t: refusing to transform an invalid PSDF model: %w", err)
 	}
-	w := &builder{}
+	procs := m.Processes()
+	// Room for the fixed lines and ~2 lines per process and 1 per
+	// flow; the document grows past it when it must.
+	w := &builder{b: make([]byte, 0, 512+160*len(procs)+64*m.NumFlows())}
 	w.line(`<?xml version="1.0" encoding="UTF-8"?>`)
 	w.open(`<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">`)
 	if m.NominalPackageSize() > 0 {
 		w.open(`<xs:annotation>`)
-		w.line(`<xs:appinfo>nominalPackageSize=%d</xs:appinfo>`, m.NominalPackageSize())
+		w.begin().str(`<xs:appinfo>nominalPackageSize=`).num(int64(m.NominalPackageSize())).str(`</xs:appinfo>`).end()
 		w.close("xs:annotation")
 	}
 	app := typeName(m.Name())
-	w.line(`<xs:element name="%s" type="%s"/>`, xmlEscape(strings.ToLower(app)), xmlEscape(app))
-	w.open(`<xs:complexType name="%s">`, xmlEscape(app))
+	w.begin().str(`<xs:element name="`).str(xmlEscape(strings.ToLower(app))).str(`" type="`).str(xmlEscape(app)).str(`"/>`).end()
+	w.begin().str(`<xs:complexType name="`).str(xmlEscape(app)).str(`">`).endOpen()
 	w.open(`<xs:all>`)
-	procs := m.Processes()
 	for _, p := range procs {
-		w.line(`<xs:element name="%s" type="%s"/>`, strings.ToLower(p.String()), p)
+		w.begin().str(`<xs:element name="`).proc(p, true).str(`" type="`).proc(p, false).str(`"/>`).end()
 	}
 	w.close("xs:all")
 	w.close("xs:complexType")
 	for _, p := range procs {
-		w.open(`<xs:complexType name="%s">`, p)
+		w.begin().str(`<xs:complexType name="`).proc(p, false).str(`">`).endOpen()
 		flows := m.FlowsFrom(p)
 		if len(flows) > 0 {
 			w.open(`<xs:all>`)
 			for _, f := range flows {
-				w.line(`<xs:element name="%s" type="Transfer"/>`, xmlEscape(f.Name()))
+				// The flow's encoded name needs no escaping: a process
+				// name and three integers.
+				w.begin().str(`<xs:element name="`)
+				w.b = f.AppendName(w.b)
+				w.str(`" type="Transfer"/>`).end()
 			}
 			w.close("xs:all")
 		}
@@ -128,7 +176,7 @@ func GeneratePSDF(m *psdf.Model) ([]byte, error) {
 	w.open(`<xs:complexType name="Transfer">`)
 	w.close("xs:complexType")
 	w.close("xs:schema")
-	return []byte(w.b.String()), nil
+	return w.b, nil
 }
 
 // GeneratePSM renders the platform model (with its application
@@ -141,44 +189,52 @@ func GeneratePSM(p *platform.Platform) ([]byte, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("m2t: refusing to transform an invalid platform: %w", err)
 	}
-	w := &builder{}
+	fus := 0
+	for _, s := range p.Segments {
+		fus += len(s.FUs)
+	}
+	// Room for the fixed lines, a segment's ~8 lines and an FU's ~6,
+	// as in GeneratePSDF.
+	w := &builder{b: make([]byte, 0, 1024+512*len(p.Segments)+256*fus)}
 	w.line(`<?xml version="1.0" encoding="UTF-8"?>`)
 	w.open(`<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">`)
 	w.line(`<xs:element name="sbp" type="SBP"/>`)
 	w.open(`<xs:complexType name="SBP">`)
 	w.open(`<xs:annotation>`)
-	w.line(`<xs:appinfo>caClockHz=%d</xs:appinfo>`, int64(p.CAClock))
-	w.line(`<xs:appinfo>packageSize=%d</xs:appinfo>`, p.PackageSize)
-	w.line(`<xs:appinfo>headerTicks=%d</xs:appinfo>`, p.HeaderTicks)
-	w.line(`<xs:appinfo>caHopTicks=%d</xs:appinfo>`, p.CAHopTicks)
+	w.begin().str(`<xs:appinfo>caClockHz=`).num(int64(p.CAClock)).str(`</xs:appinfo>`).end()
+	w.begin().str(`<xs:appinfo>packageSize=`).num(int64(p.PackageSize)).str(`</xs:appinfo>`).end()
+	w.begin().str(`<xs:appinfo>headerTicks=`).num(int64(p.HeaderTicks)).str(`</xs:appinfo>`).end()
+	w.begin().str(`<xs:appinfo>caHopTicks=`).num(int64(p.CAHopTicks)).str(`</xs:appinfo>`).end()
 	w.close("xs:annotation")
 	w.open(`<xs:all>`)
 	for _, s := range p.Segments {
-		w.line(`<xs:element name="segment%d" type="Segment%d"/>`, s.Index, s.Index)
+		i := int64(s.Index)
+		w.begin().str(`<xs:element name="segment`).num(i).str(`" type="Segment`).num(i).str(`"/>`).end()
 	}
 	w.line(`<xs:element name="ca" type="CA"/>`)
 	for _, bu := range p.BUs() {
-		w.line(`<xs:element name="bu%d%d" type="%s"/>`, bu.Left, bu.Right, bu.Name())
+		w.begin().str(`<xs:element name="`).bu(bu, true).str(`" type="`).bu(bu, false).str(`"/>`).end()
 	}
 	w.close("xs:all")
 	w.close("xs:complexType")
 
 	for _, s := range p.Segments {
-		w.open(`<xs:complexType name="Segment%d">`, s.Index)
+		i := int64(s.Index)
+		w.begin().str(`<xs:complexType name="Segment`).num(i).str(`">`).endOpen()
 		w.open(`<xs:annotation>`)
-		w.line(`<xs:appinfo>clockHz=%d</xs:appinfo>`, int64(s.Clock))
+		w.begin().str(`<xs:appinfo>clockHz=`).num(int64(s.Clock)).str(`</xs:appinfo>`).end()
 		w.close("xs:annotation")
 		w.open(`<xs:all>`)
 		if s.Index > 1 {
-			w.line(`<xs:element name="buLeft" type="BU%d%d"/>`, s.Index-1, s.Index)
+			w.begin().str(`<xs:element name="buLeft" type="`).bu(platform.BU{Left: s.Index - 1, Right: s.Index}, false).str(`"/>`).end()
 		}
 		if s.Index < len(p.Segments) {
-			w.line(`<xs:element name="buRight" type="BU%d%d"/>`, s.Index, s.Index+1)
+			w.begin().str(`<xs:element name="buRight" type="`).bu(platform.BU{Left: s.Index, Right: s.Index + 1}, false).str(`"/>`).end()
 		}
 		for _, fu := range s.FUs {
-			w.line(`<xs:element name="%s" type="%s"/>`, strings.ToLower(fu.Process.String()), fu.Process)
+			w.begin().str(`<xs:element name="`).proc(fu.Process, true).str(`" type="`).proc(fu.Process, false).str(`"/>`).end()
 		}
-		w.line(`<xs:element name="arbiter" type="SA%d"/>`, s.Index)
+		w.begin().str(`<xs:element name="arbiter" type="SA`).num(i).str(`"/>`).end()
 		w.close("xs:all")
 		w.close("xs:complexType")
 	}
@@ -189,15 +245,15 @@ func GeneratePSM(p *platform.Platform) ([]byte, error) {
 		proc psdf.ProcessID
 		kind platform.FUKind
 	}
-	var fus []fuDecl
+	decls := make([]fuDecl, 0, fus)
 	for _, s := range p.Segments {
 		for _, fu := range s.FUs {
-			fus = append(fus, fuDecl{fu.Process, fu.Kind})
+			decls = append(decls, fuDecl{fu.Process, fu.Kind})
 		}
 	}
-	sort.Slice(fus, func(i, j int) bool { return fus[i].proc < fus[j].proc })
-	for _, fu := range fus {
-		w.open(`<xs:complexType name="%s">`, fu.proc)
+	sort.Slice(decls, func(i, j int) bool { return decls[i].proc < decls[j].proc })
+	for _, fu := range decls {
+		w.begin().str(`<xs:complexType name="`).proc(fu.proc, false).str(`">`).endOpen()
 		w.open(`<xs:all>`)
 		if fu.kind != platform.SlaveOnly {
 			w.line(`<xs:element name="master" type="Master"/>`)
@@ -212,11 +268,11 @@ func GeneratePSM(p *platform.Platform) ([]byte, error) {
 	w.open(`<xs:complexType name="CA">`)
 	w.close("xs:complexType")
 	for _, s := range p.Segments {
-		w.open(`<xs:complexType name="SA%d">`, s.Index)
+		w.begin().str(`<xs:complexType name="SA`).num(int64(s.Index)).str(`">`).endOpen()
 		w.close("xs:complexType")
 	}
 	for _, bu := range p.BUs() {
-		w.open(`<xs:complexType name="%s">`, bu.Name())
+		w.begin().str(`<xs:complexType name="`).bu(bu, false).str(`">`).endOpen()
 		w.close("xs:complexType")
 	}
 	w.open(`<xs:complexType name="Master">`)
@@ -224,5 +280,5 @@ func GeneratePSM(p *platform.Platform) ([]byte, error) {
 	w.open(`<xs:complexType name="Slave">`)
 	w.close("xs:complexType")
 	w.close("xs:schema")
-	return []byte(w.b.String()), nil
+	return w.b, nil
 }

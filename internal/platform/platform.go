@@ -119,7 +119,13 @@ type BU struct {
 
 // Name returns the conventional border unit name, e.g. "BU12" for the
 // unit between segments 1 and 2.
-func (b BU) Name() string { return fmt.Sprintf("BU%d%d", b.Left, b.Right) }
+func (b BU) Name() string { return string(b.AppendName(nil)) }
+
+// AppendName appends the name Name returns to dst.
+func (b BU) AppendName(dst []byte) []byte {
+	dst = strconv.AppendInt(append(dst, "BU"...), int64(b.Left), 10)
+	return strconv.AppendInt(dst, int64(b.Right), 10)
+}
 
 // Platform is a complete SegBus platform instance: an ordered list of
 // segments in a linear topology, one central arbiter, and one border

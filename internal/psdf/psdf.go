@@ -21,7 +21,9 @@ package psdf
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // ProcessID identifies an application process (P0, P1, ...). The zero
@@ -29,7 +31,12 @@ import (
 type ProcessID int
 
 // String returns the conventional process name, e.g. "P3".
-func (p ProcessID) String() string { return fmt.Sprintf("P%d", int(p)) }
+func (p ProcessID) String() string { return string(p.AppendName(nil)) }
+
+// AppendName appends the process name String returns to dst.
+func (p ProcessID) AppendName(dst []byte) []byte {
+	return strconv.AppendInt(append(dst, 'P'), int64(p), 10)
+}
 
 // SystemOutput is the pseudo-target used by flows that leave the
 // system (towards the platform output) rather than feed another
@@ -65,8 +72,14 @@ func (f Flow) Packages(s int) int {
 // Name renders the flow in the encoded form used by the generated XML
 // schemas, e.g. "P1_576_1_250" for a flow targeting P1 with 576 data
 // items, ordering number 1 and 250 ticks per package.
-func (f Flow) Name() string {
-	return fmt.Sprintf("%s_%d_%d_%d", f.Target, f.Items, f.Order, f.Ticks)
+func (f Flow) Name() string { return string(f.AppendName(nil)) }
+
+// AppendName appends the encoded name Name returns to dst.
+func (f Flow) AppendName(dst []byte) []byte {
+	dst = append(f.Target.AppendName(dst), '_')
+	dst = append(strconv.AppendInt(dst, int64(f.Items), 10), '_')
+	dst = append(strconv.AppendInt(dst, int64(f.Order), 10), '_')
+	return strconv.AppendInt(dst, int64(f.Ticks), 10)
 }
 
 // String implements fmt.Stringer with a human-oriented rendering.
@@ -132,6 +145,11 @@ type Model struct {
 	processes map[ProcessID]bool
 	flows     []Flow
 	nominal   int // package size the flows' C values were calibrated at
+
+	// valid memoises a passing Validate until the next mutation; it
+	// is atomic so concurrent Validate calls on one model (pooled
+	// emulations share it) are safe.
+	valid atomic.Bool
 }
 
 // NewModel returns an empty PSDF model with the given application name.
@@ -153,6 +171,7 @@ func (m *Model) SetNominalPackageSize(s int) {
 		panic("psdf: negative nominal package size")
 	}
 	m.nominal = s
+	m.valid.Store(false)
 }
 
 // NominalPackageSize returns the calibration package size, or zero
@@ -167,6 +186,7 @@ func (m *Model) AddProcess(p ProcessID) {
 	if p != SystemOutput {
 		m.processes[p] = true
 	}
+	m.valid.Store(false)
 }
 
 // AddFlow appends a flow to the model, implicitly declaring its source
@@ -177,6 +197,7 @@ func (m *Model) AddFlow(f Flow) {
 		m.AddProcess(f.Target)
 	}
 	m.flows = append(m.flows, f)
+	m.valid.Store(false)
 }
 
 // Processes returns the declared process identifiers in ascending

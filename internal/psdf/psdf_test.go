@@ -441,3 +441,29 @@ func TestValidateRandomLayeredModelsAlwaysPass(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateVerdictFollowsMutation: Validate memoises a pass, and
+// every mutator drops the memo, so a model made invalid after a
+// passing Validate fails the next one.
+func TestValidateVerdictFollowsMutation(t *testing.T) {
+	build := func() *Model {
+		m := NewModel("memo")
+		m.AddFlow(Flow{Source: 0, Target: 1, Items: 36, Order: 1, Ticks: 5})
+		return m
+	}
+	for name, mutate := range map[string]func(*Model){
+		"AddFlow":    func(m *Model) { m.AddFlow(Flow{Source: 1, Target: 1, Items: 36, Order: 2, Ticks: 5}) },
+		"AddProcess": func(m *Model) { m.AddProcess(7) },
+	} {
+		m := build()
+		for i := 0; i < 2; i++ {
+			if err := m.Validate(); err != nil {
+				t.Fatalf("%s: valid model rejected: %v", name, err)
+			}
+		}
+		mutate(m)
+		if m.Validate() == nil {
+			t.Errorf("%s: model made invalid still passes", name)
+		}
+	}
+}

@@ -80,7 +80,24 @@ func (es ValidationErrors) Error() string {
 //
 // A nil return means the model is valid. Otherwise the returned error
 // is a ValidationErrors listing every violation.
+//
+// A passing verdict is memoised until the next AddProcess, AddFlow or
+// SetNominalPackageSize, so the stages of one request (parse, key,
+// emulation) and the explorer's pooled runs of one model check it
+// once. A failing one is recomputed on every call: each caller gets
+// an error of its own.
 func (m *Model) Validate() error {
+	if m.valid.Load() {
+		return nil
+	}
+	err := m.validate()
+	if err == nil {
+		m.valid.Store(true)
+	}
+	return err
+}
+
+func (m *Model) validate() error {
 	var errs ValidationErrors
 	add := func(code string, f *Flow, format string, args ...interface{}) {
 		errs = append(errs, &ValidationError{Code: code, Flow: f, Message: fmt.Sprintf(format, args...)})

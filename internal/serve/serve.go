@@ -36,6 +36,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -641,7 +642,10 @@ func (s *Server) emulate(ctx context.Context, tr *reqtrace.Trace, parent reqtrac
 			out = explainFailure(pr, "emulation: ", runErr)
 			return
 		}
-		out = outcome{status: http.StatusOK, cache: "miss", body: body}
+		// Both caches keep the body as long as it stays hot: keep
+		// a copy at its own length, not the encoder's buffer with
+		// its spare capacity (~30 % of a report).
+		out = outcome{status: http.StatusOK, cache: "miss", body: bytes.Clone(body)}
 	})
 	switch {
 	case errors.Is(err, parallel.ErrQueueFull):

@@ -52,6 +52,13 @@ go test -run '^$' -fuzz '^FuzzEnergyBound$' -fuzztime 10s ./internal/explore
 # when it does; fuzz that equivalence on arbitrary DSL documents.
 go test -run '^$' -fuzz '^FuzzPreflightMatchesEmulation$' -fuzztime 10s ./internal/analyze
 
+# The schemes are parsed by a hand-written single-pass scanner that
+# must accept exactly what encoding/xml's decoder accepted and build
+# the same struct; fuzz it against that decoder, kept as the test
+# oracle, from application and platform schemes.
+go test -run '^$' -fuzz '^FuzzParsePSDF$' -fuzztime 10s ./internal/schema
+go test -run '^$' -fuzz '^FuzzParsePSM$' -fuzztime 10s ./internal/schema
+
 # Metrics golden diff: segbus-emu -metrics-json over the MP3 scenario
 # must stay byte-identical to the reviewed golden (deterministic
 # counters only; rates are excluded from this export by design).
